@@ -1,13 +1,15 @@
-// Scan-engine scaling: virtual time of an all-pairs scan as the parallel
-// engine's pool grows — the "parallelizes trivially" observation of §4.5
-// quantified. Prints virtual hours and speedup vs the sequential engine for
-// K in {1, 2, 4, 8}, plus the engine's admission/retry statistics, and the
-// overhead a faulted network (packet loss + consensus churn) adds at K=4.
+// Scan-engine scaling: virtual time of an all-pairs scan as the engine's
+// pool grows — the "parallelizes trivially" observation of §4.5
+// quantified. Prints virtual hours and speedup vs the one-at-a-time K=1
+// scan for K in {1, 2, 4, 8}, plus the engine's admission/retry
+// statistics, and the overhead a faulted network (packet loss + consensus
+// churn) adds at K=4.
 //
-// A final leg benches the sharded engine's WALL-CLOCK scaling (real threads,
-// one world clone per shard): a 50-node all-pairs scan at --shards 1 vs 4,
-// verifying the merged matrices are bit-identical, and writes the result as
-// machine-readable BENCH_scan.json for CI to archive.
+// A final leg benches the engine's WALL-CLOCK scaling across worlds (real
+// threads, one world per worker over a shared topology): a 50-node
+// all-pairs scan at W=1 vs 4, verifying the merged matrices are
+// bit-identical, and writes the result as machine-readable BENCH_scan.json
+// for CI to archive.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -21,7 +23,6 @@
 #include "simnet/fault_plan.h"
 #include "ting/scan_journal.h"
 #include "ting/scheduler.h"
-#include "ting/sharded_scan.h"
 
 int main() {
   using namespace ting;
@@ -43,7 +44,7 @@ int main() {
 
   meas::TingMeasurer sequential_measurer(tb.ting(), cfg);
   meas::RttMatrix seq_matrix;
-  meas::AllPairsScanner sequential(sequential_measurer, seq_matrix);
+  meas::ParallelScanner sequential({&sequential_measurer}, seq_matrix);
   const meas::ScanReport seq = sequential.scan(nodes);
   const double seq_hours = seq.virtual_time.sec() / 3600.0;
 
@@ -63,7 +64,7 @@ int main() {
     }
     meas::RttMatrix matrix;
     meas::ParallelScanner scanner(pool, matrix);
-    meas::ParallelScanOptions scan_options;
+    meas::ScanOptions scan_options;
     scan_options.max_age = Duration::seconds(0);  // always remeasure
     const meas::ScanReport r = scanner.scan(nodes, scan_options);
     const double hours = r.virtual_time.sec() / 3600.0;
@@ -90,13 +91,15 @@ int main() {
       pool.push_back(owned.back().get());
     }
     meas::RttMatrix matrix;
-    meas::ParallelScanner scanner(pool, matrix);
-    meas::ParallelScanOptions scan_options;
+    meas::ParallelScanner scanner(
+        {meas::ScanWorld{.measurers = pool,
+                         .live_consensus = &tb.consensus(),
+                         .fault_plan = &plan}},
+        matrix);
+    meas::ScanOptions scan_options;
     scan_options.max_age = Duration::seconds(0);
     scan_options.attempts_per_pair = 6;
-    scan_options.live_consensus = &tb.consensus();
     scan_options.churn_requeue_delay = Duration::seconds(20);
-    scan_options.fault_plan = &plan;
     const meas::ScanReport r = scanner.scan(nodes, scan_options);
     std::printf("# K=4 under faults (3%% loss, churn): %.2fh, %zu/%zu "
                 "measured, retries %zu, churned re-resolved %zu, failures "
@@ -107,18 +110,22 @@ int main() {
   }
 
   // ---- measurement-plane optimizations: cache + adaptive + pipeline ---------
-  // The ISSUE-4 leg: a 20-node faulted scan on the serial engine (K=1, the
-  // paper's own configuration), cold baseline vs all optimizations on.
-  // Reports throughput (pairs per virtual hour), the circuits-built ratio,
-  // and the worst per-pair estimate deviation the optimizations introduce.
+  // A 20-node faulted scan on the engine at K=1 (the paper's own
+  // one-pair-at-a-time configuration), cold baseline vs all optimizations
+  // on. Reports throughput (pairs per virtual hour), the circuits-built
+  // ratio, and the worst per-pair estimate deviation the optimizations
+  // introduce. Pinned at 20 nodes / 40 relays / 200 samples regardless of
+  // TING_BENCH_SCALE: adaptive stopping needs a budget above its 120-echo
+  // plateau, and the CI regression gate compares this ratio against the
+  // committed full-size baseline.
   //
   // Deviation methodology: two independently-evolving faulted scans differ
   // by >1 ms even when BOTH are cold (pair order alone shifts which pairs
   // meet a fault window, and relay load history shifts the attainable
   // minima), so comparing the cold and optimized scans above would measure
   // scan-replay noise, not the optimizations. The deviation leg instead
-  // uses the deterministic per-pair replay (ScanOptions::reseed_world, the
-  // sharded engine's mechanism): every pair's estimate is a pure function
+  // uses the deterministic per-pair replay (ScanOptions::deterministic with
+  // the world's reseed hook): every pair's estimate is a pure function
   // of (world seed, pair_seed, pair), so a cold replay and a
   // cached+adaptive replay differ by exactly what the optimizations change
   // and nothing else.
@@ -127,9 +134,9 @@ int main() {
   std::size_t opt_half_hits = 0, opt_samples_saved = 0;
   double base_pairs_per_hour = 0, opt_pairs_per_hour = 0;
   {
-    const std::size_t kOptNodes = static_cast<std::size_t>(scaled(20, 8));
+    const std::size_t kOptNodes = 20, kOptRelays = 40;
     meas::TingConfig base_cfg;
-    base_cfg.samples = scaled(200, 20);
+    base_cfg.samples = 200;
     meas::TingConfig opt_cfg = base_cfg;
     opt_cfg.adaptive_samples = true;
 
@@ -141,8 +148,7 @@ int main() {
       scenario::TestbedOptions wopt;
       wopt.seed = 422;
       wopt.differential_fraction = 0;
-      scenario::Testbed world = scenario::live_tor(
-          static_cast<std::size_t>(scaled(40, 16)), wopt);
+      scenario::Testbed world = scenario::live_tor(kOptRelays, wopt);
       std::vector<dir::Fingerprint> subset;
       for (std::size_t i = 0; i < std::min(kOptNodes, world.relay_count()); ++i)
         subset.push_back(world.fp(i));
@@ -153,12 +159,14 @@ int main() {
 
       meas::TingMeasurer measurer(world.ting(), cfg);
       Leg leg;
-      meas::AllPairsScanner scanner(measurer, leg.matrix);
+      meas::ParallelScanner scanner(
+          {meas::ScanWorld{.measurers = {&measurer},
+                           .live_consensus = &world.consensus(),
+                           .fault_plan = &plan}},
+          leg.matrix);
       meas::ScanOptions so;
       so.attempts_per_pair = 6;
-      so.live_consensus = &world.consensus();
       so.churn_requeue_delay = Duration::seconds(20);
-      so.fault_plan = &plan;
       meas::HalfCircuitCache halves;
       so.half_cache = optimized ? &halves : nullptr;
       so.pipeline_builds = optimized;
@@ -174,8 +182,7 @@ int main() {
       scenario::TestbedOptions wopt;
       wopt.seed = 422;
       wopt.differential_fraction = 0;
-      scenario::Testbed world = scenario::live_tor(
-          static_cast<std::size_t>(scaled(40, 16)), wopt);
+      scenario::Testbed world = scenario::live_tor(kOptRelays, wopt);
       std::vector<dir::Fingerprint> subset;
       for (std::size_t i = 0; i < std::min(kOptNodes, world.relay_count()); ++i)
         subset.push_back(world.fp(i));
@@ -186,22 +193,22 @@ int main() {
 
       meas::TingMeasurer measurer(world.ting(), cfg);
       Leg leg;
-      std::vector<meas::TingMeasurer*> pool{&measurer};
-      meas::ParallelScanner scanner(pool, leg.matrix);
-      meas::ParallelScanOptions so;
+      meas::ParallelScanner scanner(
+          {meas::ScanWorld{.measurers = {&measurer},
+                           .reseed = [&](std::uint64_t s) {
+                             world.reseed_stochastics(s);
+                           },
+                           .live_consensus = &world.consensus(),
+                           .fault_plan = &plan}},
+          leg.matrix);
+      meas::ScanOptions so;
       so.attempts_per_pair = 6;
-      so.live_consensus = &world.consensus();
       so.churn_requeue_delay = Duration::seconds(20);
-      so.fault_plan = &plan;
-      so.reseed_world = [&](std::uint64_t s) { world.reseed_stochastics(s); };
+      so.deterministic = true;
       so.pair_seed = wopt.seed;
       meas::HalfCircuitCache halves;
       so.half_cache = cached ? &halves : nullptr;
-      meas::ParallelScanner::PairList pairs;
-      for (std::size_t i = 0; i < subset.size(); ++i)
-        for (std::size_t j = i + 1; j < subset.size(); ++j)
-          pairs.push_back({i, j});
-      leg.report = scanner.scan_pairs(subset, pairs, so);
+      leg.report = scanner.scan(subset, so);
       return leg;
     };
 
@@ -250,7 +257,7 @@ int main() {
                 opt_speedup, opt_circuit_ratio, opt_max_dev_ms);
   }
 
-  // ---- sharded engine: wall-clock scaling + bit-identity --------------------
+  // ---- W worlds: wall-clock scaling + bit-identity --------------------------
   {
     scenario::ShardWorldOptions swo;
     swo.relays = static_cast<std::size_t>(scaled(50, 16));
@@ -258,25 +265,35 @@ int main() {
     swo.testbed.seed = 421;
     swo.testbed.differential_fraction = 0;
     swo.ting.samples = scaled(100, 20);
+    const scenario::TopologyPtr topology = scenario::shard_topology(swo);
     const std::vector<dir::Fingerprint> sharded_nodes =
-        scenario::shard_scan_nodes(swo);
+        scenario::shard_scan_nodes(swo, topology);
+    meas::ScanOptions det;
+    det.deterministic = true;
+    det.pair_seed = swo.testbed.seed;
 
+    // Wall clock covers building the W worlds (over the shared topology)
+    // and scanning with them, as `ting scan --shards W` pays it; the
+    // construction share is reported separately.
+    double scan_w4_construct_ms = 0;
     const auto run = [&](std::size_t shards, meas::RttMatrix& m,
-                         meas::ScanReport& r) {
-      meas::ShardedScanner scanner(scenario::make_testbed_shard_factory(swo));
-      meas::ShardedScanOptions so;
-      so.shards = shards;
-      so.pair_seed = swo.testbed.seed;
+                         meas::ScanReport& r, const meas::ScanOptions& so) {
       const auto t0 = std::chrono::steady_clock::now();
-      r = scanner.scan(sharded_nodes, m, so);
+      const auto worlds = scenario::make_shard_worlds(swo, topology, shards);
+      if (shards == 4)
+        scan_w4_construct_ms = std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+      meas::ParallelScanner scanner(scenario::scan_worlds(worlds), m);
+      r = scanner.scan(sharded_nodes, so);
       return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
           .count();
     };
     meas::RttMatrix m1, m4;
     meas::ScanReport r1, r4;
-    const double wall1 = run(1, m1, r1);
-    const double wall4 = run(4, m4, r4);
+    const double wall1 = run(1, m1, r1, det);
+    const double wall4 = run(4, m4, r4, det);
     const bool identical = m1.to_csv() == m4.to_csv();
     const double speedup = wall4 > 0 ? wall1 / wall4 : 0;
     const unsigned cpus = std::thread::hardware_concurrency();
@@ -296,16 +313,10 @@ int main() {
       meas::ScanJournal journal("BENCH_scan.journal",
                                 meas::ScanJournal::Mode::kFresh, jm);
       meas::RttMatrix mj;
-      meas::ShardedScanner scanner(scenario::make_testbed_shard_factory(swo));
-      meas::ShardedScanOptions so;
-      so.shards = 1;
-      so.pair_seed = swo.testbed.seed;
+      meas::ScanReport rj;
+      meas::ScanOptions so = det;
       so.journal = &journal;
-      const auto t0 = std::chrono::steady_clock::now();
-      const meas::ScanReport rj = scanner.scan(sharded_nodes, mj, so);
-      wall_journal = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+      wall_journal = run(1, mj, rj, so);
       journal_fsyncs = journal.fsyncs();
       journal_pair_records = journal.pairs().size();
       journal_identical =
@@ -316,15 +327,14 @@ int main() {
         wall1 > 0 ? wall_journal / wall1 : 0;
 
     // ---- world construction: shared immutable topology vs legacy clones ---
-    // Times what the sharded-scan workers pay before the first probe (the
-    // quantity ScanReport.world_construct_ms tracks): the legacy path
-    // re-derives the full topology (identity keygen, geography, base-RTT
-    // table) inside every worker's factory call, the shared path
-    // instantiates only the mutable half over a topology the coordinating
-    // thread built once — and needed anyway, to derive the scan-node list.
-    // The one-time build is reported separately. Fixed at 100 relays /
-    // 4 shards regardless of TING_BENCH_SCALE: keygen cost grows with relay
-    // count, and the gate needs a stable operating point.
+    // Times what building W worlds costs before the first probe: the legacy
+    // clone-per-world baseline (built inline here) re-derives the full
+    // topology (identity keygen, geography, base-RTT table) for every
+    // world, the shared path instantiates only the mutable half over a
+    // topology built once — and needed anyway, to derive the scan-node
+    // list. The one-time build is reported separately. Fixed at 100 relays
+    // / 4 worlds regardless of TING_BENCH_SCALE: keygen cost grows with
+    // relay count, and the gate needs a stable operating point.
     double legacy_construct_ms = 0, shared_construct_ms = 0;
     double topology_build_ms = 0, construct_speedup = 0, reseed_us = 0;
     const std::size_t kConstructRelays = 100, kConstructShards = 4;
@@ -337,7 +347,7 @@ int main() {
 
       const auto t0 = std::chrono::steady_clock::now();
       for (std::size_t s = 0; s < kConstructShards; ++s)
-        scenario::TestbedShardWorld legacy(cwo);
+        scenario::TestbedShardWorld legacy(cwo, scenario::shard_topology(cwo));
       legacy_construct_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
@@ -348,10 +358,8 @@ int main() {
                               std::chrono::steady_clock::now() - t1)
                               .count();
       const auto t2 = std::chrono::steady_clock::now();
-      std::vector<std::unique_ptr<scenario::TestbedShardWorld>> worlds;
-      for (std::size_t s = 0; s < kConstructShards; ++s)
-        worlds.push_back(
-            std::make_unique<scenario::TestbedShardWorld>(cwo, topology));
+      const auto worlds =
+          scenario::make_shard_worlds(cwo, topology, kConstructShards);
       shared_construct_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t2)
                                 .count();
@@ -364,14 +372,14 @@ int main() {
       const std::size_t kReseeds = 200;
       const auto t3 = std::chrono::steady_clock::now();
       for (std::size_t n = 0; n < kReseeds; ++n)
-        worlds[0]->reseed(0x5eed + n);
+        worlds[0]->world().reseed_stochastics(0x5eed + n);
       reseed_us = std::chrono::duration<double, std::micro>(
                       std::chrono::steady_clock::now() - t3)
                       .count() /
                   static_cast<double>(kReseeds);
     }
 
-    std::printf("# sharded engine (wall clock, deterministic): %zu nodes, "
+    std::printf("# W worlds (wall clock, deterministic): %zu nodes, "
                 "%zu pairs, %u host cpus\n",
                 sharded_nodes.size(), r1.pairs_total, cpus);
     std::printf("# W\twall_seconds\tspeedup\tmeasured\tfailed\n");
@@ -391,7 +399,7 @@ int main() {
                 "spent %.1f ms constructing, %zu reseeds\n",
                 kConstructRelays, kConstructShards, legacy_construct_ms,
                 shared_construct_ms, construct_speedup, topology_build_ms,
-                reseed_us, r4.world_construct_ms, r4.reseeds);
+                reseed_us, scan_w4_construct_ms, r4.reseeds);
     if (cpus < 4)
       std::printf("# (only %u cpu(s) available: wall-clock speedup is "
                   "core-bound, not engine-bound)\n",
@@ -427,8 +435,8 @@ int main() {
           "    \"samples_saved\": %zu,\n"
           "    \"max_estimate_deviation_ms\": %.4f,\n"
           "    \"deviation_method\": \"deterministic per-pair replay "
-          "(reseed_world): cached+adaptive vs cold on identical jitter "
-          "streams\"\n"
+          "(world reseed per probe): cached+adaptive vs cold on identical "
+          "jitter streams\"\n"
           "  },\n"
           "  \"journaling\": {\n"
           "    \"leg\": \"W=1 sharded scan, write-ahead journal on vs off\",\n"
@@ -462,7 +470,7 @@ int main() {
           journal_identical ? "true" : "false", kConstructRelays,
           kConstructShards, kConstructRelays, kConstructShards,
           legacy_construct_ms, shared_construct_ms, topology_build_ms,
-          construct_speedup, reseed_us, r4.world_construct_ms, r4.reseeds);
+          construct_speedup, reseed_us, scan_w4_construct_ms, r4.reseeds);
       std::fclose(json);
       std::printf("# wrote BENCH_scan.json\n");
     }

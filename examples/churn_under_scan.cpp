@@ -53,12 +53,16 @@ int main(int argc, char** argv) {
     pool.push_back(measurers.back().get());
   }
 
+  // The world the engine drives: the pool, plus the live consensus churned
+  // relays are re-resolved against and the fault plan it annotates.
   meas::RttMatrix matrix;
-  meas::ParallelScanner scanner(pool, matrix);
-  meas::ParallelScanOptions scan_options;
+  meas::ParallelScanner scanner({meas::ScanWorld{.measurers = pool,
+                                                 .live_consensus =
+                                                     &world.consensus(),
+                                                 .fault_plan = &plan}},
+                                matrix);
+  meas::ScanOptions scan_options;
   scan_options.attempts_per_pair = 4;
-  scan_options.live_consensus = &world.consensus();
-  scan_options.fault_plan = &plan;
   scan_options.churn_requeue_delay = Duration::seconds(30);
 
   std::printf("scanning %zu relays (%zu pairs) with K=%zu under faults...\n",

@@ -3,35 +3,16 @@
 #include <algorithm>
 #include <chrono>
 
-#include "ting/sharded_scan.h"
 #include "util/assert.h"
 
 namespace ting::scenario {
 
 namespace {
 
-/// Non-owning ShardWorld view over a persistent TestbedShardWorld: the
-/// sharded scanner expects to own the worlds it builds, but the daemon's
-/// worlds must outlive every epoch, so the factory hands out borrows.
-class BorrowedShardWorld : public meas::ShardWorld {
- public:
-  explicit BorrowedShardWorld(TestbedShardWorld& w) : w_(w) {}
-  std::vector<meas::TingMeasurer*> measurers() override {
-    return w_.measurers();
-  }
-  void reseed(std::uint64_t seed) override { w_.reseed(seed); }
-  const dir::Consensus* live_consensus() override {
-    return w_.live_consensus();
-  }
-  const simnet::FaultPlan* fault_plan() override { return w_.fault_plan(); }
-
- private:
-  TestbedShardWorld& w_;
-};
-
-std::vector<meas::MeasurementHost*> pool_hosts(TestbedShardWorld& w) {
+std::vector<meas::MeasurementHost*> pool_hosts(const TestbedShardWorld& w) {
   std::vector<meas::MeasurementHost*> hosts;
-  for (meas::TingMeasurer* m : w.measurers()) hosts.push_back(&m->host());
+  for (meas::TingMeasurer* m : w.scan_world().measurers)
+    hosts.push_back(&m->host());
   return hosts;
 }
 
@@ -46,18 +27,11 @@ TestbedDaemonEnvironment::TestbedDaemonEnvironment(
   swo.scan_nodes = options_.relays;  // the consensus is the scan set
   swo.testbed = options_.testbed;
   swo.ting = options_.ting;
-  swo.pool = options_.pool;
   swo.fault_spec = options_.fault_spec;
-  swo.share_topology = options_.share_topology;
   const auto construct_start = std::chrono::steady_clock::now();
-  TopologyPtr topology =
-      options_.share_topology ? shard_topology(swo) : nullptr;
-  for (std::size_t s = 0; s < options_.shards; ++s) {
-    worlds_.push_back(topology != nullptr
-                          ? std::make_unique<TestbedShardWorld>(swo, topology)
-                          : std::make_unique<TestbedShardWorld>(swo));
-    appliers_.push_back(std::make_unique<ChurnApplier>(worlds_[s]->world()));
-  }
+  worlds_ = make_shard_worlds(swo, shard_topology(swo), options_.shards);
+  for (const auto& w : worlds_)
+    appliers_.push_back(std::make_unique<ChurnApplier>(w->world()));
   world_construct_ms_ = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - construct_start)
                             .count();
@@ -87,26 +61,8 @@ meas::ScanReport TestbedDaemonEnvironment::scan_pairs(
     const meas::ParallelScanner::PairList& pairs,
     meas::RttMatrix& epoch_matrix, const meas::ScanOptions& options,
     const meas::ScanProgress& progress) {
-  if (worlds_.size() == 1) {
-    TestbedShardWorld& w = *worlds_[0];
-    meas::ParallelScanner scanner(w.measurers(), epoch_matrix);
-    meas::ParallelScanOptions popt;
-    static_cast<meas::ScanOptions&>(popt) = options;
-    popt.reseed_world = [&w](std::uint64_t seed) { w.reseed(seed); };
-    if (popt.live_consensus == nullptr) popt.live_consensus = w.live_consensus();
-    if (popt.fault_plan == nullptr) popt.fault_plan = w.fault_plan();
-    return scanner.scan_pairs(nodes, pairs, popt, progress);
-  }
-  meas::ShardedScanner scanner(
-      [this](std::size_t shard) -> std::unique_ptr<meas::ShardWorld> {
-        return std::make_unique<BorrowedShardWorld>(
-            *worlds_[shard % worlds_.size()]);
-      });
-  meas::ShardedScanOptions sopt;
-  static_cast<meas::ScanOptions&>(sopt) = options;
-  sopt.shards = worlds_.size();
-  sopt.deterministic = true;
-  return scanner.scan_pairs(nodes, pairs, epoch_matrix, sopt, progress);
+  meas::ParallelScanner scanner(scan_worlds(worlds_), epoch_matrix);
+  return scanner.scan_pairs(nodes, pairs, options, progress);
 }
 
 }  // namespace ting::scenario

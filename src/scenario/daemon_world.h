@@ -2,19 +2,18 @@
 // daemon (ting/daemon.h): persistent shard worlds plus a deterministic
 // churn feed, wired to the DaemonEnvironment interface.
 //
-// The environment owns `shards` identical TestbedShardWorld instances that
-// live across epochs (unlike a batch sharded scan, which builds worlds per
-// invocation — the daemon's whole point is that state persists). Each epoch
-// boundary the ChurnFeed's events are projected onto *every* world so their
-// directory views stay in lockstep, then the epoch worklist runs through
-// ShardedScanner::scan_pairs (or a plain ParallelScanner when shards == 1)
-// in deterministic mode.
+// The environment owns `shards` identical TestbedShardWorld instances over
+// one shared topology that live across epochs (unlike a batch scan, which
+// builds worlds per invocation — the daemon's whole point is that state
+// persists). Each epoch boundary the ChurnFeed's events are projected onto
+// *every* world so their directory views stay in lockstep, then the epoch
+// worklist runs through ParallelScanner::scan_pairs over those worlds.
 //
 // Fault plans (--faults, including die:) are applied per world at
 // construction and fire at each world's own virtual times, so with faults
 // the worlds' consensus views can transiently disagree mid-epoch — the same
-// caveat batch sharded scans carry. The churn feed itself is epoch-aligned
-// and identical everywhere.
+// caveat batch scans over several worlds carry. The churn feed itself is
+// epoch-aligned and identical everywhere.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +38,6 @@ struct DaemonWorldOptions {
   std::string fault_spec;
   /// Worker threads = persistent shard worlds.
   std::size_t shards = 1;
-  /// Measurement hosts per world (deterministic mode drives only the
-  /// first; extras matter for non-deterministic experiments).
-  std::size_t pool = 1;
-  /// Build the immutable topology once and share it across the persistent
-  /// shard worlds (default); false re-derives it per world (the historical
-  /// clone path, kept as the parity baseline).
-  bool share_topology = true;
 };
 
 class TestbedDaemonEnvironment : public meas::DaemonEnvironment {
@@ -65,8 +57,7 @@ class TestbedDaemonEnvironment : public meas::DaemonEnvironment {
 
   /// Wall-clock milliseconds spent building the persistent shard worlds
   /// (topology + per-world instantiation), for the daemon's setup-cost
-  /// reporting; epoch scans borrow these worlds, so per-epoch
-  /// world_construct_ms is ~0.
+  /// reporting; epoch scans reuse these worlds.
   double world_construct_ms() const { return world_construct_ms_; }
 
  private:

@@ -1,8 +1,10 @@
-// Testbed-backed shard worlds for the sharded scan engine: every shard gets
-// a complete, independent live_tor() clone built from the same
-// ShardWorldOptions — same seed, therefore the same relay fingerprints,
-// geography, and latency model in every world — so per-shard measurements
-// land on the same logical pairs and merge cleanly.
+// Testbed-backed worlds for the scan engine: every world is instantiated
+// over one shared immutable topology from the same ShardWorldOptions — same
+// seed, therefore the same relay fingerprints, geography, and latency model
+// in every world — so per-world measurements land on the same logical
+// pairs and merge cleanly. `ting scan`, the scan daemon, the tests and the
+// benches all build their worlds this way and hand them to
+// meas::ParallelScanner as ScanWorld descriptors.
 #pragma once
 
 #include <memory>
@@ -11,7 +13,7 @@
 
 #include "scenario/testbed.h"
 #include "simnet/fault_plan.h"
-#include "ting/sharded_scan.h"
+#include "ting/scheduler.h"
 
 namespace ting::scenario {
 
@@ -19,44 +21,31 @@ struct ShardWorldOptions {
   /// Testbed size (live_tor relays) and which prefix of them is scanned.
   std::size_t relays = 25;
   std::size_t scan_nodes = 12;
-  /// World construction parameters — identical across shards by design.
+  /// World construction parameters — identical across worlds by design.
   TestbedOptions testbed;
   meas::TingConfig ting;
-  /// Measurement hosts per shard world (ParallelScanner concurrency K
-  /// inside the shard; deterministic mode only drives the first).
+  /// Measurement hosts per world (the pool's concurrency K; deterministic
+  /// mode only drives the first).
   std::size_t pool = 1;
   /// Optional fault spec (scenario/faults.h grammar), applied to each
-  /// world's scan nodes. Faults fire at per-shard virtual times, so
-  /// bit-identity across shard counts no longer holds.
+  /// world's scan nodes. Faults fire at per-world virtual times, so
+  /// bit-identity across world counts no longer holds.
   std::string fault_spec;
-  /// Build the immutable topology (geography, identities, base-RTT table)
-  /// once and share it read-only across all shard worlds. When false, every
-  /// shard re-derives the full topology from the seed — the historical
-  /// clone-per-shard behaviour, kept as the parity baseline; output is
-  /// bit-identical either way.
-  bool share_topology = true;
 };
 
-/// One shard's world: a Testbed plus its measurers and (optional) fault
-/// plan, owned together so the factory result is self-contained.
-class TestbedShardWorld : public meas::ShardWorld {
+/// One world: a Testbed plus its measurers and (optional) fault plan, owned
+/// together. Lives on the thread that built it until the engine drives it
+/// from a worker; it is never touched from two threads at once.
+class TestbedShardWorld {
  public:
-  /// Builds a private topology (honouring options.share_topology only in
-  /// the factory, which passes one in).
-  explicit TestbedShardWorld(const ShardWorldOptions& options);
-  /// Instantiates the mutable world half over a pre-built shared topology.
+  /// Instantiates the mutable world half over a pre-built topology.
   TestbedShardWorld(const ShardWorldOptions& options, TopologyPtr topology);
+  TestbedShardWorld(const TestbedShardWorld&) = delete;
+  TestbedShardWorld& operator=(const TestbedShardWorld&) = delete;
 
-  std::vector<meas::TingMeasurer*> measurers() override { return pool_; }
-  void reseed(std::uint64_t seed) override {
-    world_.reseed_stochastics(seed);
-  }
-  const dir::Consensus* live_consensus() override {
-    return &world_.consensus();
-  }
-  const simnet::FaultPlan* fault_plan() override {
-    return has_faults_ ? plan_.get() : nullptr;
-  }
+  /// The engine's view of this world: its measurers, a reseed hook, its
+  /// live consensus and its fault plan. Valid for the world's lifetime.
+  const meas::ScanWorld& scan_world() const { return scan_world_; }
 
   Testbed& world() { return world_; }
 
@@ -64,31 +53,25 @@ class TestbedShardWorld : public meas::ShardWorld {
   Testbed world_;
   std::unique_ptr<simnet::FaultPlan> plan_;
   std::vector<std::unique_ptr<meas::TingMeasurer>> measurers_;
-  std::vector<meas::TingMeasurer*> pool_;
-  bool has_faults_ = false;
+  meas::ScanWorld scan_world_;
 };
 
-/// A factory building identical TestbedShardWorlds (one per worker thread).
-/// With options.share_topology (the default) the immutable topology is
-/// built once, eagerly, on the calling thread, and every worker world is
-/// instantiated over it; otherwise each worker re-derives everything.
-meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options);
+/// `count` identical worlds instantiated over `topology`.
+std::vector<std::unique_ptr<TestbedShardWorld>> make_shard_worlds(
+    const ShardWorldOptions& options, const TopologyPtr& topology,
+    std::size_t count);
 
-/// Same, over a topology the caller already built (e.g. to also derive the
-/// scan-node list without a second topology build).
-meas::ShardWorldFactory make_testbed_shard_factory(ShardWorldOptions options,
-                                                   TopologyPtr topology);
+/// The engine descriptors of `worlds`, in order.
+std::vector<meas::ScanWorld> scan_worlds(
+    const std::vector<std::unique_ptr<TestbedShardWorld>>& worlds);
 
 /// The topology such worlds share: live_tor(options.relays) frozen at the
 /// immutable layer.
 TopologyPtr shard_topology(const ShardWorldOptions& options);
 
-/// The scan-node fingerprints such worlds will carry — deterministic from
-/// the options alone; reads them off the frozen topology without building
-/// any world.
-std::vector<dir::Fingerprint> shard_scan_nodes(
-    const ShardWorldOptions& options);
-std::vector<dir::Fingerprint> shard_scan_nodes(
-    const ShardWorldOptions& options, const TopologyPtr& topology);
+/// The scan-node fingerprints such worlds carry, read off the frozen
+/// topology without building any world.
+std::vector<dir::Fingerprint> shard_scan_nodes(const ShardWorldOptions& options,
+                                               const TopologyPtr& topology);
 
 }  // namespace ting::scenario

@@ -81,9 +81,9 @@ class Testbed {
   /// all relay queue rngs (plus their load watermarks), and each
   /// measurement host's apparatus — to a deterministic function of `seed`.
   /// Topology, fingerprints, and established sessions are untouched. This
-  /// is the sharded scanner's per-pair world reseed (ScanOptions::
-  /// reseed_world): two same-seed testbeds given the same reseed produce
-  /// identical subsequent stochastic behaviour.
+  /// is the deterministic scan's per-pair world reseed (ScanWorld::reseed):
+  /// two same-seed testbeds given the same reseed produce identical
+  /// subsequent stochastic behaviour.
   void reseed_stochastics(std::uint64_t seed);
 
   /// The frozen immutable layer this world was instantiated from. Shard

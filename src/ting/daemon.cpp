@@ -169,6 +169,8 @@ DaemonReport ScanDaemon::run(const EpochCallback& on_epoch,
                      : plan_delta(matrix_, nodes, now, plan_opts);
 
     ScanOptions opt = options_.engine;
+    // Deterministic replay is what makes a resumed epoch byte-identical.
+    opt.deterministic = true;
     opt.pair_seed = epoch_pair_seed(options_.seed, e);
     opt.stop = options_.stop;
     opt.max_age = kForever;

@@ -7,7 +7,7 @@
 //      epoch brings and reports the current relay set),
 //   2. plans a delta worklist (delta_scan.h): never-measured pairs first,
 //      then TTL-expired ones oldest-first, cut to the per-epoch budget,
-//   3. runs the worklist through ShardedScanner/ParallelScanner in
+//   3. runs the worklist through the scan engine (ParallelScanner) in
 //      deterministic mode with a per-epoch pair seed, journaling every
 //      result as it lands (scan_journal.h),
 //   4. folds the epoch's results into the persistent SparseRttMatrix,
@@ -23,7 +23,7 @@
 // the missing pairs and produces a final matrix byte-identical to one from
 // an uninterrupted run.
 //
-// Epoch clock: the deterministic engine records zero timestamps (shard
+// Epoch clock: the deterministic engine records zero timestamps (world
 // clocks are unrelated), so the daemon keeps its own virtual clock — epoch
 // e completes at (e+1) * epoch_interval — and stamps absorbed results with
 // it. TTL decisions therefore depend only on epoch numbers, never on which
@@ -64,10 +64,10 @@ class DaemonEnvironment {
   virtual std::vector<dir::Fingerprint> nodes() = 0;
 
   /// Run one epoch's worklist. `options` carries the daemon's journal,
-  /// stop flag, half cache, and per-epoch pair seed; the environment adds
-  /// its world hooks (reseed, live consensus, shard fan-out) and returns
-  /// the engine report. Results land in `epoch_matrix` (pre-seeded with
-  /// journal-recovered pairs on resume).
+  /// stop flag, half cache, per-epoch pair seed and deterministic mode; the
+  /// environment supplies its worlds and returns the engine report.
+  /// Results land in `epoch_matrix` (pre-seeded with journal-recovered
+  /// pairs on resume).
   virtual ScanReport scan_pairs(const std::vector<dir::Fingerprint>& nodes,
                                 const ParallelScanner::PairList& pairs,
                                 RttMatrix& epoch_matrix,
@@ -128,8 +128,8 @@ struct DaemonOptions {
   /// (via the engine) and between epochs.
   const std::atomic<bool>* stop = nullptr;
   /// Engine template for each epoch's scan: attempts, ordering, quarantine,
-  /// etc. The daemon overrides journal/stop/half_cache/pair_seed/max_age
-  /// per epoch.
+  /// etc. The daemon overrides journal/stop/half_cache/pair_seed/max_age/
+  /// deterministic per epoch.
   ScanOptions engine;
   /// Invoked after each completed epoch's checkpoint is durable; see
   /// CheckpointHook. Empty = no serving layer attached.

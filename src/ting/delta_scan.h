@@ -48,7 +48,7 @@ struct DeltaPlanOptions {
 
 struct DeltaPlan {
   /// The epoch worklist as index pairs into the planning node vector
-  /// (ParallelScanner::scan_pairs / ShardedScanner::scan_pairs input),
+  /// (ParallelScanner::scan_pairs input),
   /// priority order: new pairs (by index), then expired pairs oldest-first.
   ParallelScanner::PairList pairs;
   std::size_t new_pairs = 0;      ///< never measured

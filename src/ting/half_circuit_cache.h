@@ -67,9 +67,9 @@ class HalfCircuitCache {
 
   /// Copy every entry of `other` into this cache, keeping whichever side's
   /// entry is fresher (larger measured_at; ties keep the existing entry).
-  /// This is the sharded scanner's post-join merge: deterministic shards
-  /// store identical values with zero timestamps, so the merge is
-  /// order-independent there by construction.
+  /// This is the scan engine's post-join merge of its per-world copies:
+  /// deterministic worlds store identical values with zero timestamps, so
+  /// the merge is order-independent there by construction.
   void merge_freshest(const HalfCircuitCache& other);
 
   std::size_t size() const { return entries_.size(); }
@@ -81,8 +81,8 @@ class HalfCircuitCache {
   /// fired by from_csv / merge_freshest / copy construction: those move
   /// already-recorded entries around, and re-observing them would duplicate
   /// journal records. The observer is copied along with the cache, so the
-  /// sharded engine's per-shard copies keep journaling (the journal itself
-  /// is thread-safe).
+  /// scan engine's per-world copies keep journaling (the journal itself is
+  /// thread-safe).
   using StoreObserver =
       std::function<void(const dir::Fingerprint& host_w,
                          const dir::Fingerprint& relay, const Entry& entry)>;

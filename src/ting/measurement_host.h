@@ -52,7 +52,7 @@ class MeasurementHost {
   bool ready() const { return controller_ != nullptr; }
 
   /// Reseed the apparatus's stochastic state (w/z relay rngs, the OP rng)
-  /// deterministically — part of the sharded scanner's per-pair world
+  /// deterministically — part of the deterministic scan's per-pair world
   /// reseed. Fingerprints and established sessions are untouched.
   void reseed(std::uint64_t seed);
 

@@ -7,7 +7,7 @@
 // exhausted its attempts) and per half-circuit measurement, so after a
 // crash `ting scan --resume` replays the journal, rebuilds the matrix and
 // half-circuit cache exactly as they were, and re-measures only the pairs
-// that never completed. In deterministic sharded mode every pair's estimate
+// that never completed. In deterministic mode every pair's estimate
 // is a pure function of (world seed, pair_seed, x, y), so the resumed scan
 // produces a matrix bit-identical to an uninterrupted run.
 //
@@ -36,7 +36,7 @@
 // atomically rewrites the artifact files (util/atomic_file), so even a
 // reader that ignores the journal sees a recent consistent snapshot.
 //
-// Thread-safe: the sharded engine's worker threads append through one
+// Thread-safe: the scan engine's per-world threads append through one
 // shared journal; a mutex serialises appends, mirror updates, and
 // checkpoint writes.
 #pragma once

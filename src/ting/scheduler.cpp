@@ -1,7 +1,13 @@
 #include "ting/scheduler.h"
 
 #include <algorithm>
+#include <deque>
+#include <exception>
+#include <map>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <tuple>
 
 #include "ting/half_circuit_cache.h"
 #include "ting/scan_journal.h"
@@ -11,6 +17,9 @@
 namespace ting::meas {
 
 namespace {
+
+using PairList = ParallelScanner::PairList;
+using Reseed = std::function<void(std::uint64_t)>;
 
 /// Fold a fingerprint into a well-mixed 64-bit value (order-sensitive over
 /// its bytes, so distinct fingerprints rarely collide).
@@ -104,6 +113,16 @@ class MeasurerScanScope {
   const std::vector<TingMeasurer*>& measurers_;
 };
 
+/// Whether the cache can serve pair (x, y) without a measurement. max_age 0
+/// means "remeasure all": RttMatrix::is_fresh is inclusive, so a pair
+/// stamped at the current virtual instant would otherwise count as fresh.
+bool served_from_cache(const RttMatrix& cache, const ScanOptions& options,
+                       const dir::Fingerprint& x, const dir::Fingerprint& y,
+                       TimePoint now) {
+  return options.max_age > Duration{} &&
+         cache.is_fresh(x, y, now, options.max_age);
+}
+
 /// The result a progress callback sees for a cache hit: ok, flagged
 /// from_cache, carrying the cached estimate.
 PairResult cached_result(const RttMatrix& cache, const dir::Fingerprint& x,
@@ -126,10 +145,10 @@ void count_failure(ScanReport& report, ErrorClass cls) {
   }
 }
 
-void annotate_fault_events(ScanReport& report, const ScanOptions& options,
+void annotate_fault_events(ScanReport& report, const simnet::FaultPlan* plan,
                            TimePoint started, TimePoint ended) {
-  if (options.fault_plan == nullptr) return;
-  for (const simnet::FaultPlan::Event& e : options.fault_plan->events())
+  if (plan == nullptr) return;
+  for (const simnet::FaultPlan::Event& e : plan->events())
     if (e.at >= started && e.at <= ended) report.fault_events.push_back(e);
 }
 
@@ -255,13 +274,117 @@ PairResult deferred_result(const dir::Fingerprint& x, const dir::Fingerprint& y,
   return r;
 }
 
-/// The serial scan driver shared by AllPairsScanner and the deterministic
-/// sharded path: one pair at a time through the cache check, quarantine
-/// gate, retry policy (per-class, like the parallel engine), journaling,
-/// and graceful-stop handling. The two engines differ only in how a single
-/// attempt is measured (`measure_attempt`) and in whether matrix/journal
-/// timestamps are zeroed (deterministic mode: shard worlds run unrelated
-/// virtual clocks).
+/// Deterministic-mode pair measurement with half-circuit memoization. The
+/// pair is decomposed into its three circuit probes, each run under its own
+/// world reseed: C_xy under pair_reseed(seed, x, y), C_x under
+/// half_reseed(seed, x), C_y under half_reseed(seed, y). That makes R_Cx a
+/// pure function of (world seed, pair_seed, x) — a memoized entry holds
+/// exactly the value a fresh probe would measure, so cache hits cannot
+/// perturb the merged CSV and bit-identity holds for any world count.
+PairResult measure_pair_memoized(TingMeasurer& m, HalfCircuitCache& cache,
+                                 std::uint64_t pair_seed, const Reseed& reseed,
+                                 const dir::Fingerprint& x,
+                                 const dir::Fingerprint& y) {
+  MeasurementHost& host = m.host();
+  simnet::EventLoop& loop = host.loop();
+  PairResult r;
+  r.x = x;
+  r.y = y;
+  const TimePoint started = loop.now();
+
+  // Mirror measure_async's validity screens.
+  if (x == y || x == host.w_fp() || y == host.w_fp() || x == host.z_fp() ||
+      y == host.z_fp()) {
+    r.error = "invalid pair (x, y must be distinct remote relays)";
+    r.error_class = ErrorClass::kPermanent;
+    return r;
+  }
+  for (const dir::Fingerprint* fp : {&x, &y}) {
+    if (host.op().consensus().find(*fp) == nullptr) {
+      r.error = "relay " + fp->short_name() + " not in consensus";
+      r.error_class = ErrorClass::kRelayChurned;
+      return r;
+    }
+  }
+
+  reseed(pair_reseed(pair_seed, x, y));
+  r.cxy = m.measure_circuit_blocking({x, y}, m.config().samples);
+  if (!r.cxy.ok) {
+    r.error = "C_xy: " + r.cxy.error;
+    r.error_class = m.classify_failure(x, y, r.cxy.error_class);
+    r.wall_time = loop.now() - started;
+    return r;
+  }
+
+  const auto half = [&](const dir::Fingerprint& fp) {
+    if (const HalfCircuitCache::Entry* e =
+            cache.fresh(host.w_fp(), fp, loop.now())) {
+      CircuitMeasurement out;
+      out.ok = true;
+      out.memoized = true;
+      out.min_rtt_ms = e->rtt_ms;
+      out.samples_taken = e->samples;
+      return out;
+    }
+    drain_in_flight(loop, kDrainHorizon);
+    reseed(half_reseed(pair_seed, fp));
+    // Full sampling for cache-bound halves (see TingMeasurer::half_probe):
+    // the stored minimum is reused across every pair sharing this relay.
+    CircuitMeasurement out = m.measure_circuit_blocking(
+        {fp}, m.config().samples, /*adaptive=*/false);
+    // Zero timestamp, like the matrix entries: worlds run unrelated
+    // virtual clocks, and clock-free entries keep the merged cache CSV
+    // independent of the world count.
+    if (out.ok)
+      cache.store(host.w_fp(), fp, out.min_rtt_ms, TimePoint{},
+                  out.samples_taken);
+    return out;
+  };
+
+  r.cx = half(x);
+  if (!r.cx.ok) {
+    r.error = "C_x: " + r.cx.error;
+    r.error_class = m.classify_failure(x, y, r.cx.error_class);
+    r.wall_time = loop.now() - started;
+    return r;
+  }
+  r.cy = half(y);
+  r.wall_time = loop.now() - started;
+  if (!r.cy.ok) {
+    r.error = "C_y: " + r.cy.error;
+    r.error_class = m.classify_failure(x, y, r.cy.error_class);
+    return r;
+  }
+  // Eq. (4): R(x,y) + F_x + F_y — identical cancellation whether the half
+  // minima were measured now or memoized.
+  r.rtt_ms = r.cxy.min_rtt_ms - 0.5 * r.cx.min_rtt_ms - 0.5 * r.cy.min_rtt_ms;
+  r.ok = true;
+  return r;
+}
+
+/// One deterministic attempt at pair (x, y).
+PairResult measure_deterministic(TingMeasurer& m, const ScanOptions& options,
+                                 const Reseed& reseed,
+                                 const dir::Fingerprint& x,
+                                 const dir::Fingerprint& y) {
+  // Teardown cells from the previous pair must not consume draws from the
+  // freshly-seeded rngs, so quiesce the loop before reseeding.
+  drain_in_flight(m.host().loop(), kDrainHorizon);
+  if (options.half_cache != nullptr)
+    return measure_pair_memoized(m, *options.half_cache, options.pair_seed,
+                                 reseed, x, y);
+  reseed(pair_reseed(options.pair_seed, x, y));
+  return m.measure_blocking(x, y);
+}
+
+/// The deterministic driver: pairs strictly one at a time on the world's
+/// first measurer (its other hosts carry world-specific fingerprints and
+/// seeds, so touching them would make results depend on pool size),
+/// through the cache check, quarantine gate, retry policy (per-class, like
+/// the pool), journaling, and graceful-stop handling. Matrix and journal
+/// entries are stamped zero because worlds run unrelated virtual clocks,
+/// and pipelining stays off — a circuit built under the previous pair's
+/// world seed would break per-pair purity.
 ///
 /// Quarantine-held pairs are parked in a side list; when the live worklist
 /// drains, the driver fast-forwards virtual time to the earliest window
@@ -269,16 +392,15 @@ PairResult deferred_result(const dir::Fingerprint& x, const dir::Fingerprint& y,
 /// the breaker and walking it to terminal, at which point remaining pairs
 /// resolve as deferred. Every round either resolves a pair or advances a
 /// breaker window, so the loop terminates.
-void serial_scan_pairs(
-    TingMeasurer& m, const std::vector<TingMeasurer*>& pool, RttMatrix& cache,
-    const std::vector<dir::Fingerprint>& nodes,
-    std::deque<std::pair<std::size_t, std::size_t>> work,
-    const ScanOptions& options, const ScanProgress& progress,
-    ScanReport& report, simnet::EventLoop& loop,
-    const std::set<dir::Fingerprint>& never_known,
-    const std::function<PairResult(const dir::Fingerprint&,
-                                   const dir::Fingerprint&)>& measure_attempt,
-    bool zero_timestamps, bool pipeline) {
+void serial_scan_pairs(const ScanWorld& world, const Reseed& reseed,
+                       RttMatrix& cache,
+                       const std::vector<dir::Fingerprint>& nodes,
+                       std::deque<std::pair<std::size_t, std::size_t>> work,
+                       const ScanOptions& options,
+                       const ScanProgress& progress, ScanReport& report,
+                       const std::set<dir::Fingerprint>& never_known) {
+  TingMeasurer& m = *world.measurers[0];
+  simnet::EventLoop& loop = m.host().loop();
   RelayQuarantine quarantine(options.quarantine);
   std::vector<std::pair<std::size_t, std::size_t>> held;
   std::size_t done = 0;
@@ -290,7 +412,7 @@ void serial_scan_pairs(
     const dir::Fingerprint& x = nodes[i];
     const dir::Fingerprint& y = nodes[j];
 
-    if (cache.is_fresh(x, y, loop.now(), options.max_age)) {
+    if (served_from_cache(cache, options, x, y, loop.now())) {
       ++done;
       ++report.from_cache;
       if (progress)
@@ -307,17 +429,6 @@ void serial_scan_pairs(
       held.emplace_back(i, j);
     } else {
       if (gate.probation) ++report.probation_probes;
-      // Pipelining: launch the next pair's C_xy build now, so its
-      // EXTENDCIRCUIT round trips overlap this pair's sampling phase.
-      if (pipeline) {
-        for (const auto& [qi, qj] : work) {
-          if (cache.is_fresh(nodes[qi], nodes[qj], loop.now(),
-                             options.max_age))
-            continue;
-          m.prebuild(nodes[qi], nodes[qj]);
-          break;
-        }
-      }
       // One measurement actually in flight (cache-only scans report 0).
       report.max_in_flight = 1;
       report.max_per_relay_in_flight = 1;
@@ -328,9 +439,9 @@ void serial_scan_pairs(
           if (stop_requested(options)) break;
           ++report.retries;
         }
-        const PairResult r = measure_attempt(x, y);
+        const PairResult r = measure_deterministic(m, options, reseed, x, y);
         accumulate_pair_stats(report, r);
-        const TimePoint stamp = zero_timestamps ? TimePoint{} : loop.now();
+        const TimePoint stamp{};
         if (r.ok) {
           cache.set(x, y, r.rtt_ms, stamp, r.cxy.samples_taken);
           ++report.measured;
@@ -369,7 +480,7 @@ void serial_scan_pairs(
           // Wait out a consensus interval, then pull the relay's descriptor
           // back in if it rejoined.
           loop.run_until(loop.now() + options.churn_requeue_delay);
-          if (reresolve_pair(options.live_consensus, pool, x, y,
+          if (reresolve_pair(world.live_consensus, world.measurers, x, y,
                              options.half_cache))
             ++report.churn_reresolved;
         } else {
@@ -427,58 +538,24 @@ std::uint64_t half_reseed(std::uint64_t pair_seed, const dir::Fingerprint& x) {
   return mix64(pair_seed ^ mix64(fp_mix(x)));
 }
 
-ScanReport AllPairsScanner::scan(const std::vector<dir::Fingerprint>& nodes,
-                                 const ScanOptions& options,
-                                 const Progress& progress) {
-  TING_CHECK(options.attempts_per_pair >= 1);
-  ScanReport report;
-  report.retry_histogram.assign(
-      static_cast<std::size_t>(options.attempts_per_pair), 0);
-  simnet::EventLoop& loop = measurer_.host().loop();
-  const TimePoint started = loop.now();
-  const std::vector<TingMeasurer*> pool{&measurer_};
-  const MeasurerScanScope scope(pool, options.half_cache);
-  const std::set<dir::Fingerprint> never_known = never_known_nodes(
-      nodes, options.live_consensus != nullptr ? *options.live_consensus
-                                               : measurer_.host().op().consensus());
+// ---- the pool ---------------------------------------------------------------
 
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < nodes.size(); ++j)
-      pairs.emplace_back(i, j);
-  report.pairs_total = pairs.size();
+namespace {
 
-  if (options.randomize_order) {
-    Rng rng(options.order_seed);
-    rng.shuffle(pairs);
-  }
-
-  serial_scan_pairs(
-      measurer_, pool, cache_, nodes,
-      std::deque<std::pair<std::size_t, std::size_t>>(pairs.begin(),
-                                                      pairs.end()),
-      options, progress, report, loop, never_known,
-      [&](const dir::Fingerprint& x, const dir::Fingerprint& y) {
-        return measurer_.measure_blocking(x, y);
-      },
-      /*zero_timestamps=*/false, /*pipeline=*/options.pipeline_builds);
-
-  report.virtual_time = loop.now() - started;
-  annotate_fault_events(report, options, started, loop.now());
-  return report;
-}
-
-// ---- ParallelScanner --------------------------------------------------------
-
-struct ParallelScanner::ScanState {
+/// The pool driver's state over one world: its K measurers keep up to K
+/// pairs in flight on the world's event loop, admitted under the per-relay
+/// cap, and failed pairs are re-queued with backoff before being reported.
+struct ScanState {
   struct Task {
     std::size_t i = 0, j = 0;
     int attempt = 0;  ///< retries used so far
   };
 
+  const ScanWorld* world = nullptr;
+  RttMatrix* cache = nullptr;  ///< the world's private matrix
   const std::vector<dir::Fingerprint>* nodes = nullptr;
-  ParallelScanOptions options;
-  Progress progress;
+  ScanOptions options;
+  ScanProgress progress;
   ScanReport report;
 
   static constexpr std::size_t kNoHint = static_cast<std::size_t>(-1);
@@ -506,19 +583,20 @@ struct ParallelScanner::ScanState {
   std::vector<simnet::EventId> wakes;
 };
 
-ParallelScanner::ParallelScanner(std::vector<TingMeasurer*> measurers,
-                                 RttMatrix& cache)
-    : measurers_(std::move(measurers)), cache_(cache) {
-  TING_CHECK_MSG(!measurers_.empty(), "pool needs at least one measurer");
-  for (TingMeasurer* m : measurers_) {
-    TING_CHECK(m != nullptr);
-    TING_CHECK_MSG(&m->host().loop() == &measurers_[0]->host().loop(),
-                   "all pool measurers must share one event loop");
-  }
-}
+void pump(ScanState& st);
+void dispatch(ScanState& st, std::size_t host, std::size_t task);
+/// Terminal/retry resolution of one measurement. Always entered through a
+/// deferred event, never directly from dispatch(): measure_async can fail
+/// synchronously, and resolving inline would re-enter pump() once per
+/// failing task (deep recursion on large scans).
+void on_complete(ScanState& st, std::size_t host, std::size_t task,
+                 PairResult r);
+/// Resolve a task as deferred (a quarantined-terminal relay touches it).
+void resolve_deferred(ScanState& st, std::size_t task,
+                      const dir::Fingerprint& culprit);
 
-void ParallelScanner::pump(ScanState& st) {
-  simnet::EventLoop& loop = measurers_[0]->host().loop();
+void pump(ScanState& st) {
+  simnet::EventLoop& loop = st.world->measurers[0]->host().loop();
 
   // Graceful shutdown: on the first stop sighting, everything still queued
   // resolves as interrupted (in-flight measurements drain via on_complete,
@@ -565,7 +643,7 @@ void ParallelScanner::pump(ScanState& st) {
            (y_it == st.relay_in_flight.end() ||
             y_it->second < st.options.per_relay_cap);
   };
-  for (std::size_t h = 0; h < measurers_.size(); ++h) {
+  for (std::size_t h = 0; h < st.world->measurers.size(); ++h) {
     if (st.host_busy[h]) continue;
     // Prefer the task this host prebuilt a circuit for, so the pipeline's
     // EXTENDCIRCUIT work is adopted instead of wasted.
@@ -584,8 +662,8 @@ void ParallelScanner::pump(ScanState& st) {
   }
 }
 
-void ParallelScanner::resolve_deferred(ScanState& st, std::size_t t,
-                                       const dir::Fingerprint& culprit) {
+void resolve_deferred(ScanState& st, std::size_t t,
+                      const dir::Fingerprint& culprit) {
   const ScanState::Task& task = st.tasks[t];
   const dir::Fingerprint& x = (*st.nodes)[task.i];
   const dir::Fingerprint& y = (*st.nodes)[task.j];
@@ -597,15 +675,14 @@ void ParallelScanner::resolve_deferred(ScanState& st, std::size_t t,
     st.progress(st.done, st.report.pairs_total, deferred_result(x, y, culprit));
 }
 
-void ParallelScanner::dispatch(ScanState& st, std::size_t host,
-                               std::size_t t) {
+void dispatch(ScanState& st, std::size_t host, std::size_t t) {
   const ScanState::Task& task = st.tasks[t];
   const dir::Fingerprint& x = (*st.nodes)[task.i];
   const dir::Fingerprint& y = (*st.nodes)[task.j];
 
   if (st.options.quarantine.enabled &&
       quarantine_gate(st.quarantine, st.options, x, y,
-                      measurers_[host]->host().loop().now())
+                      st.world->measurers[host]->host().loop().now())
           .probation)
     ++st.report.probation_probes;
 
@@ -618,17 +695,17 @@ void ParallelScanner::dispatch(ScanState& st, std::size_t host,
       std::max(st.report.max_per_relay_in_flight,
                static_cast<std::size_t>(std::max(nx, ny)));
 
-  // &st stays valid for the callback's lifetime: scan() blocks until every
+  // &st stays valid for the callback's lifetime: the scan blocks until every
   // dispatched measurement and scheduled retry has resolved. Completion is
   // deferred through the loop because measure_async can fail synchronously
   // (invalid pair, relay missing from the consensus) — resolving inline
   // would re-enter pump() from inside dispatch(), recursing once per
   // failing task.
-  measurers_[host]->measure_async(x, y, [this, &st, host, t](PairResult r) {
-    measurers_[host]->host().loop().defer(
-        [this, &st, host, t, r = std::move(r)]() mutable {
-          on_complete(st, host, t, std::move(r));
-        });
+  TingMeasurer& m = *st.world->measurers[host];
+  m.measure_async(x, y, [&st, &m, host, t](PairResult r) {
+    m.host().loop().defer([&st, host, t, r = std::move(r)]() mutable {
+      on_complete(st, host, t, std::move(r));
+    });
   });
 
   // Pipelining: while this measurement samples, prebuild the C_xy circuit
@@ -641,19 +718,19 @@ void ParallelScanner::dispatch(ScanState& st, std::size_t host,
           st.host_hint.end())
         continue;
       const ScanState::Task& next = st.tasks[t2];
-      measurers_[host]->prebuild((*st.nodes)[next.i], (*st.nodes)[next.j]);
+      m.prebuild((*st.nodes)[next.i], (*st.nodes)[next.j]);
       st.host_hint[host] = t2;
       break;
     }
   }
 }
 
-void ParallelScanner::on_complete(ScanState& st, std::size_t host,
-                                  std::size_t t, PairResult r) {
+void on_complete(ScanState& st, std::size_t host, std::size_t t,
+                 PairResult r) {
   ScanState::Task& task = st.tasks[t];
   const dir::Fingerprint& x = (*st.nodes)[task.i];
   const dir::Fingerprint& y = (*st.nodes)[task.j];
-  simnet::EventLoop& loop = measurers_[host]->host().loop();
+  simnet::EventLoop& loop = st.world->measurers[host]->host().loop();
 
   st.host_busy[host] = false;
   --st.in_flight;
@@ -671,7 +748,7 @@ void ParallelScanner::on_complete(ScanState& st, std::size_t host,
   }
 
   if (r.ok) {
-    cache_.set(x, y, r.rtt_ms, loop.now(), r.cxy.samples_taken);
+    st.cache->set(x, y, r.rtt_ms, loop.now(), r.cxy.samples_taken);
     ++st.report.measured;
     ++st.report.retry_histogram[static_cast<std::size_t>(task.attempt)];
     ++st.done;
@@ -707,7 +784,7 @@ void ParallelScanner::on_complete(ScanState& st, std::size_t host,
                              << r.error << "), retry " << task.attempt
                              << " in " << delay.str());
     const bool churned = cls == ErrorClass::kRelayChurned;
-    loop.schedule(delay, [this, &st, t, churned]() {
+    loop.schedule(delay, [&st, t, churned]() {
       if (st.stopping) {
         // The pair was abandoned mid-retry; --resume re-attempts it.
         ++st.report.interrupted_pairs;
@@ -716,7 +793,7 @@ void ParallelScanner::on_complete(ScanState& st, std::size_t host,
       }
       if (churned) {
         const ScanState::Task& task = st.tasks[t];
-        if (reresolve_pair(st.options.live_consensus, measurers_,
+        if (reresolve_pair(st.world->live_consensus, st.world->measurers,
                            (*st.nodes)[task.i], (*st.nodes)[task.j],
                            st.options.half_cache))
           ++st.report.churn_reresolved;
@@ -742,7 +819,7 @@ void ParallelScanner::on_complete(ScanState& st, std::size_t host,
                             st.never_known, loop.now())) {
         if (!ev.terminal)
           st.wakes.push_back(
-              loop.schedule_at(ev.until, [this, &st]() { pump(st); }));
+              loop.schedule_at(ev.until, [&st]() { pump(st); }));
       }
     }
     if (st.progress) st.progress(st.done, st.report.pairs_total, r);
@@ -750,58 +827,40 @@ void ParallelScanner::on_complete(ScanState& st, std::size_t host,
   pump(st);
 }
 
-ScanReport ParallelScanner::scan(const std::vector<dir::Fingerprint>& nodes,
-                                 const ParallelScanOptions& options,
-                                 const Progress& progress) {
-  PairList pairs;
-  if (!nodes.empty())
-    pairs.reserve(nodes.size() * (nodes.size() - 1) / 2);
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < nodes.size(); ++j)
-      pairs.emplace_back(i, j);
-  return scan_pairs(nodes, pairs, options, progress);
-}
-
-ScanReport ParallelScanner::scan_pairs(
-    const std::vector<dir::Fingerprint>& nodes, const PairList& pairs,
-    const ParallelScanOptions& options, const Progress& progress) {
-  TING_CHECK(options.attempts_per_pair >= 1);
-  TING_CHECK(options.per_relay_cap >= 1);
-  TING_CHECK(options.retry_backoff_factor >= 1);
-  for (const auto& [i, j] : pairs) {
-    TING_CHECK(i < nodes.size() && j < nodes.size());
-    TING_CHECK_MSG(i != j, "self-pairs are not measurable");
-  }
-
-  if (options.reseed_world)
-    return scan_deterministic(nodes, pairs, options, progress);
-
-  simnet::EventLoop& loop = measurers_[0]->host().loop();
+/// Scan one world's slice with the pool, into `cache` (the world's private
+/// matrix).
+ScanReport pool_scan_pairs(const ScanWorld& world, RttMatrix& cache,
+                           const std::vector<dir::Fingerprint>& nodes,
+                           const PairList& pairs, const ScanOptions& options,
+                           const ScanProgress& progress) {
+  simnet::EventLoop& loop = world.measurers[0]->host().loop();
   const TimePoint started = loop.now();
-  const MeasurerScanScope scope(measurers_, options.half_cache);
+  const MeasurerScanScope scope(world.measurers, options.half_cache);
 
   ScanState st;
+  st.world = &world;
+  st.cache = &cache;
   st.nodes = &nodes;
   st.options = options;
   st.progress = progress;
   st.quarantine = RelayQuarantine(options.quarantine);
   st.report.retry_histogram.assign(
       static_cast<std::size_t>(options.attempts_per_pair), 0);
-  st.host_busy.assign(measurers_.size(), false);
-  st.host_hint.assign(measurers_.size(), ScanState::kNoHint);
+  st.host_busy.assign(world.measurers.size(), false);
+  st.host_hint.assign(world.measurers.size(), ScanState::kNoHint);
   st.never_known = never_known_nodes(
-      nodes, options.live_consensus != nullptr
-                 ? *options.live_consensus
-                 : measurers_[0]->host().op().consensus());
+      nodes, world.live_consensus != nullptr
+                 ? *world.live_consensus
+                 : world.measurers[0]->host().op().consensus());
   st.report.pairs_total = pairs.size();
 
   for (const auto& [i, j] : pairs) {
-    if (cache_.is_fresh(nodes[i], nodes[j], loop.now(), options.max_age)) {
+    if (served_from_cache(cache, options, nodes[i], nodes[j], loop.now())) {
       ++st.report.from_cache;
       ++st.done;
       if (progress)
         progress(st.done, st.report.pairs_total,
-                 cached_result(cache_, nodes[i], nodes[j]));
+                 cached_result(cache, nodes[i], nodes[j]));
       continue;
     }
     st.tasks.push_back(ScanState::Task{i, j, 0});
@@ -848,112 +907,20 @@ ScanReport ParallelScanner::scan_pairs(
   st.report.interrupted = st.report.interrupted_pairs > 0;
 
   st.report.virtual_time = loop.now() - started;
-  annotate_fault_events(st.report, options, started, loop.now());
+  annotate_fault_events(st.report, world.fault_plan, started, loop.now());
   return st.report;
 }
 
-namespace {
-
-/// Deterministic-mode pair measurement with half-circuit memoization. The
-/// pair is decomposed into its three circuit probes, each run under its own
-/// world reseed: C_xy under pair_reseed(seed, x, y), C_x under
-/// half_reseed(seed, x), C_y under half_reseed(seed, y). That makes R_Cx a
-/// pure function of (world seed, pair_seed, x) — a memoized entry holds
-/// exactly the value a fresh probe would measure, so cache hits cannot
-/// perturb the merged CSV and bit-identity holds for any shard count.
-PairResult measure_pair_memoized(TingMeasurer& m, const ScanOptions& options,
-                                 const dir::Fingerprint& x,
-                                 const dir::Fingerprint& y,
-                                 simnet::EventLoop& loop, Duration horizon) {
-  MeasurementHost& host = m.host();
-  HalfCircuitCache& cache = *options.half_cache;
-  PairResult r;
-  r.x = x;
-  r.y = y;
-  const TimePoint started = loop.now();
-
-  // Mirror measure_async's validity screens.
-  if (x == y || x == host.w_fp() || y == host.w_fp() || x == host.z_fp() ||
-      y == host.z_fp()) {
-    r.error = "invalid pair (x, y must be distinct remote relays)";
-    r.error_class = ErrorClass::kPermanent;
-    return r;
-  }
-  for (const dir::Fingerprint* fp : {&x, &y}) {
-    if (host.op().consensus().find(*fp) == nullptr) {
-      r.error = "relay " + fp->short_name() + " not in consensus";
-      r.error_class = ErrorClass::kRelayChurned;
-      return r;
-    }
-  }
-
-  options.reseed_world(pair_reseed(options.pair_seed, x, y));
-  r.cxy = m.measure_circuit_blocking({x, y}, m.config().samples);
-  if (!r.cxy.ok) {
-    r.error = "C_xy: " + r.cxy.error;
-    r.error_class = m.classify_failure(x, y, r.cxy.error_class);
-    r.wall_time = loop.now() - started;
-    return r;
-  }
-
-  const auto half = [&](const dir::Fingerprint& fp) {
-    if (const HalfCircuitCache::Entry* e =
-            cache.fresh(host.w_fp(), fp, loop.now())) {
-      CircuitMeasurement out;
-      out.ok = true;
-      out.memoized = true;
-      out.min_rtt_ms = e->rtt_ms;
-      out.samples_taken = e->samples;
-      return out;
-    }
-    drain_in_flight(loop, horizon);
-    options.reseed_world(half_reseed(options.pair_seed, fp));
-    // Full sampling for cache-bound halves (see TingMeasurer::half_probe):
-    // the stored minimum is reused across every pair sharing this relay.
-    CircuitMeasurement out = m.measure_circuit_blocking(
-        {fp}, m.config().samples, /*adaptive=*/false);
-    // Zero timestamp, like the matrix entries: shard worlds run unrelated
-    // virtual clocks, and clock-free entries keep the merged cache CSV
-    // independent of the shard count.
-    if (out.ok)
-      cache.store(host.w_fp(), fp, out.min_rtt_ms, TimePoint{},
-                  out.samples_taken);
-    return out;
-  };
-
-  r.cx = half(x);
-  if (!r.cx.ok) {
-    r.error = "C_x: " + r.cx.error;
-    r.error_class = m.classify_failure(x, y, r.cx.error_class);
-    r.wall_time = loop.now() - started;
-    return r;
-  }
-  r.cy = half(y);
-  r.wall_time = loop.now() - started;
-  if (!r.cy.ok) {
-    r.error = "C_y: " + r.cy.error;
-    r.error_class = m.classify_failure(x, y, r.cy.error_class);
-    return r;
-  }
-  // Eq. (4): R(x,y) + F_x + F_y — identical cancellation whether the half
-  // minima were measured now or memoized.
-  r.rtt_ms = r.cxy.min_rtt_ms - 0.5 * r.cx.min_rtt_ms - 0.5 * r.cy.min_rtt_ms;
-  r.ok = true;
-  return r;
-}
-
-}  // namespace
-
-ScanReport ParallelScanner::scan_deterministic(
-    const std::vector<dir::Fingerprint>& nodes, const PairList& pairs,
-    const ParallelScanOptions& options, const Progress& progress) {
-  // Strictly serial on the first measurer: the pool's extra hosts carry
-  // world-specific fingerprints and seeds, so touching them would make the
-  // result depend on pool size. Before every attempt the world's stochastic
-  // state is reset to a pure function of (pair_seed, x, y), which makes each
-  // pair's estimate independent of scan order and shard partitioning.
-  TingMeasurer& m = *measurers_[0];
-  simnet::EventLoop& loop = m.host().loop();
+/// Scan one world's slice with the deterministic driver, into `cache`.
+/// Before every attempt the world's stochastic state is reset to a pure
+/// function of (pair_seed, x, y), which makes each pair's estimate
+/// independent of scan order and world partitioning.
+ScanReport deterministic_scan_pairs(const ScanWorld& world, RttMatrix& cache,
+                                    const std::vector<dir::Fingerprint>& nodes,
+                                    const PairList& pairs,
+                                    const ScanOptions& options,
+                                    const ScanProgress& progress) {
+  simnet::EventLoop& loop = world.measurers[0]->host().loop();
   const TimePoint started = loop.now();
 
   ScanReport report;
@@ -961,8 +928,9 @@ ScanReport ParallelScanner::scan_deterministic(
       static_cast<std::size_t>(options.attempts_per_pair), 0);
   report.pairs_total = pairs.size();
   const std::set<dir::Fingerprint> never_known = never_known_nodes(
-      nodes, options.live_consensus != nullptr ? *options.live_consensus
-                                               : m.host().op().consensus());
+      nodes, world.live_consensus != nullptr
+                 ? *world.live_consensus
+                 : world.measurers[0]->host().op().consensus());
 
   PairList order = pairs;
   if (options.randomize_order) {
@@ -972,36 +940,199 @@ ScanReport ParallelScanner::scan_deterministic(
 
   // Count every world reseed (per pair + per non-memoized half probe) into
   // the report, without the reseed paths having to know about it.
-  ParallelScanOptions det = options;
-  det.reseed_world = [&report, reseed = options.reseed_world](
-                         std::uint64_t seed) {
+  const Reseed reseed = [&report, &world](std::uint64_t seed) {
     ++report.reseeds;
-    reseed(seed);
+    world.reseed(seed);
   };
 
   serial_scan_pairs(
-      m, measurers_, cache_, nodes,
+      world, reseed, cache, nodes,
       std::deque<std::pair<std::size_t, std::size_t>>(order.begin(),
                                                       order.end()),
-      det, progress, report, loop, never_known,
-      [&](const dir::Fingerprint& x, const dir::Fingerprint& y) {
-        // Teardown cells from the previous pair must not consume draws from
-        // the freshly-seeded rngs, so quiesce the loop before reseeding.
-        drain_in_flight(loop, kDrainHorizon);
-        if (det.half_cache != nullptr)
-          return measure_pair_memoized(m, det, x, y, loop, kDrainHorizon);
-        det.reseed_world(pair_reseed(det.pair_seed, x, y));
-        return m.measure_blocking(x, y);
-      },
-      // Zero timestamps: shard worlds run unrelated virtual clocks, and
-      // clock-free entries keep merged CSVs bit-identical across shard
-      // counts. Pipelining stays off — a circuit built under the previous
-      // pair's world seed would break per-pair purity.
-      /*zero_timestamps=*/true, /*pipeline=*/false);
+      options, progress, report, never_known);
 
   report.virtual_time = loop.now() - started;
-  annotate_fault_events(report, options, started, loop.now());
+  annotate_fault_events(report, world.fault_plan, started, loop.now());
   return report;
+}
+
+/// Merge world report `r` into `merged` (see ScanReport for the rules).
+void merge_report(ScanReport& merged, const ScanReport& r) {
+  merged.measured += r.measured;
+  merged.from_cache += r.from_cache;
+  merged.failed += r.failed;
+  merged.failed_transient += r.failed_transient;
+  merged.failed_permanent += r.failed_permanent;
+  merged.failed_churned += r.failed_churned;
+  merged.churn_reresolved += r.churn_reresolved;
+  merged.retries += r.retries;
+  merged.circuits_built += r.circuits_built;
+  merged.half_cache_hits += r.half_cache_hits;
+  merged.samples_saved += r.samples_saved;
+  merged.time_building += r.time_building;
+  merged.time_sampling += r.time_sampling;
+  merged.reseeds += r.reseeds;
+  merged.max_in_flight += r.max_in_flight;
+  merged.max_per_relay_in_flight =
+      std::max(merged.max_per_relay_in_flight, r.max_per_relay_in_flight);
+  merged.virtual_time = std::max(merged.virtual_time, r.virtual_time);
+  merged.deferred += r.deferred;
+  merged.probation_probes += r.probation_probes;
+  merged.interrupted_pairs += r.interrupted_pairs;
+  merged.interrupted = merged.interrupted || r.interrupted;
+  if (merged.retry_histogram.size() < r.retry_histogram.size())
+    merged.retry_histogram.resize(r.retry_histogram.size(), 0);
+  for (std::size_t k = 0; k < r.retry_histogram.size(); ++k)
+    merged.retry_histogram[k] += r.retry_histogram[k];
+  merged.failed_pairs.insert(merged.failed_pairs.end(), r.failed_pairs.begin(),
+                             r.failed_pairs.end());
+  merged.deferred_pairs.insert(merged.deferred_pairs.end(),
+                               r.deferred_pairs.begin(),
+                               r.deferred_pairs.end());
+  merged.quarantine_events.insert(merged.quarantine_events.end(),
+                                  r.quarantine_events.begin(),
+                                  r.quarantine_events.end());
+  merged.fault_events.insert(merged.fault_events.end(), r.fault_events.begin(),
+                             r.fault_events.end());
+}
+
+/// World-count-independent ordering for the merged report's lists.
+void sort_report_lists(ScanReport& report) {
+  std::sort(report.failed_pairs.begin(), report.failed_pairs.end(),
+            [](const FailedPair& a, const FailedPair& b) {
+              return std::tie(a.a, a.b) < std::tie(b.a, b.b);
+            });
+  std::sort(report.deferred_pairs.begin(), report.deferred_pairs.end(),
+            [](const DeferredPair& a, const DeferredPair& b) {
+              return std::tie(a.a, a.b) < std::tie(b.a, b.b);
+            });
+  std::stable_sort(report.quarantine_events.begin(),
+                   report.quarantine_events.end(),
+                   [](const QuarantineEvent& a, const QuarantineEvent& b) {
+                     return std::tie(a.at, a.relay) < std::tie(b.at, b.relay);
+                   });
+  std::stable_sort(report.fault_events.begin(), report.fault_events.end(),
+                   [](const simnet::FaultPlan::Event& a,
+                      const simnet::FaultPlan::Event& b) { return a.at < b.at; });
+}
+
+}  // namespace
+
+ParallelScanner::ParallelScanner(std::vector<ScanWorld> worlds,
+                                 RttMatrix& cache)
+    : worlds_(std::move(worlds)), cache_(cache) {
+  TING_CHECK_MSG(!worlds_.empty(), "a scan needs at least one world");
+  for (const ScanWorld& w : worlds_) {
+    TING_CHECK_MSG(!w.measurers.empty(), "a world needs at least one measurer");
+    for (TingMeasurer* m : w.measurers) {
+      TING_CHECK(m != nullptr);
+      TING_CHECK_MSG(&m->host().loop() == &w.measurers[0]->host().loop(),
+                     "a world's measurers must share one event loop");
+    }
+  }
+}
+
+ParallelScanner::ParallelScanner(std::vector<TingMeasurer*> measurers,
+                                 RttMatrix& cache)
+    : ParallelScanner(
+          std::vector<ScanWorld>{ScanWorld{.measurers = std::move(measurers)}},
+          cache) {}
+
+ScanReport ParallelScanner::scan(const std::vector<dir::Fingerprint>& nodes,
+                                 const ScanOptions& options,
+                                 const ScanProgress& progress) {
+  PairList pairs;
+  if (!nodes.empty())
+    pairs.reserve(nodes.size() * (nodes.size() - 1) / 2);
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    for (std::size_t j = i + 1; j < nodes.size(); ++j)
+      pairs.emplace_back(i, j);
+  return scan_pairs(nodes, pairs, options, progress);
+}
+
+ScanReport ParallelScanner::scan_pairs(
+    const std::vector<dir::Fingerprint>& nodes, const PairList& pairs,
+    const ScanOptions& options, const ScanProgress& progress) {
+  TING_CHECK(options.attempts_per_pair >= 1);
+  TING_CHECK(options.per_relay_cap >= 1);
+  TING_CHECK(options.retry_backoff_factor >= 1);
+  for (const auto& [i, j] : pairs) {
+    TING_CHECK(i < nodes.size() && j < nodes.size());
+    TING_CHECK_MSG(i != j, "self-pairs are not measurable");
+  }
+  if (options.deterministic)
+    for (const ScanWorld& w : worlds_)
+      TING_CHECK_MSG(w.reseed != nullptr,
+                     "deterministic scans need every world's reseed hook");
+
+  // Deal the pairs round-robin so every world gets a representative mix of
+  // relays (block partitioning would hand one world all the pairs of the
+  // hottest relays).
+  const std::size_t count = worlds_.size();
+  std::vector<PairList> slices(count);
+  for (std::size_t p = 0; p < pairs.size(); ++p)
+    slices[p % count].push_back(pairs[p]);
+
+  struct WorldResult {
+    ScanReport report;
+    RttMatrix matrix;
+    HalfCircuitCache half_cache;  ///< world-private copy of the caller's cache
+    std::exception_ptr error;
+  };
+  std::vector<WorldResult> results(count);
+  std::atomic<std::size_t> done{0};
+  std::mutex progress_mu;
+
+  const auto run_world = [&](std::size_t w) {
+    WorldResult& res = results[w];
+    try {
+      // Private copies of the caller's matrix (so a resumed scan skips
+      // completed pairs in every world) and half cache: threads never share
+      // them, and the freshest entries merge back after join.
+      res.matrix = cache_;
+      ScanOptions opt = options;
+      if (options.half_cache != nullptr) {
+        res.half_cache = *options.half_cache;
+        opt.half_cache = &res.half_cache;
+      }
+      ScanProgress world_progress;
+      if (progress)
+        world_progress = [&](std::size_t, std::size_t, const PairResult& r) {
+          const std::size_t d = done.fetch_add(1) + 1;
+          const std::lock_guard<std::mutex> lock(progress_mu);
+          progress(d, pairs.size(), r);
+        };
+      res.report = options.deterministic
+                       ? deterministic_scan_pairs(worlds_[w], res.matrix, nodes,
+                                                  slices[w], opt,
+                                                  world_progress)
+                       : pool_scan_pairs(worlds_[w], res.matrix, nodes,
+                                         slices[w], opt, world_progress);
+    } catch (...) {
+      res.error = std::current_exception();
+    }
+  };
+
+  if (count == 1) {
+    run_world(0);
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(count);
+    for (std::size_t w = 0; w < count; ++w) workers.emplace_back(run_world, w);
+    for (std::thread& t : workers) t.join();
+  }
+  for (const WorldResult& r : results)
+    if (r.error) std::rethrow_exception(r.error);
+
+  ScanReport merged;
+  merged.pairs_total = pairs.size();
+  for (const WorldResult& r : results) merge_report(merged, r.report);
+  sort_report_lists(merged);
+  for (const WorldResult& r : results) cache_.merge(r.matrix);
+  if (options.half_cache != nullptr)
+    for (const WorldResult& r : results)
+      options.half_cache->merge_freshest(r.half_cache);
+  return merged;
 }
 
 }  // namespace ting::meas

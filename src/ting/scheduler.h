@@ -1,32 +1,47 @@
-// Scan engines — the drivers that turn single-pair Ting measurements into
-// the all-pairs RTT datasets the §5 applications consume.
+// The scan engine — the driver that turns single-pair Ting measurements
+// into the all-pairs RTT datasets the §5 applications consume.
 //
-// Both engines implement the operational practices the paper describes:
-// pairs are probed in randomized order (§4.2), results land in a cached
-// RttMatrix, fresh cache entries are skipped on re-scan (§4.6: measurements
-// are stable over a week, so "taking measurements with Ting infrequently
-// and caching them is sufficient"), and failed pairs are retried a bounded
-// number of times before being reported.
+// It implements the operational practices the paper describes: pairs are
+// probed in randomized order (§4.2), results land in a cached RttMatrix,
+// fresh cache entries are skipped on re-scan (§4.6: measurements are stable
+// over a week, so "taking measurements with Ting infrequently and caching
+// them is sufficient"), failed pairs are retried a bounded number of times
+// before being reported, and the pair list is measured in parallel because
+// it "parallelizes trivially" (§4.5).
 //
-//  - AllPairsScanner: one measurement host, one pair at a time. Simple and
-//    exactly reproducible; what the paper's own scans did.
-//  - ParallelScanner: a pool of measurement hosts keeps K pairs in flight
-//    simultaneously on one simnet event loop — the "parallelizes trivially"
-//    observation of §4.5 — under an admission policy that caps concurrent
-//    circuits per target relay, so a hot relay is never probed by many
-//    circuits at once (which would inflate its observed minimum, the
-//    congestion concern of §4.3). Failed pairs are re-queued with
-//    exponential backoff before being reported as failed.
+// ParallelScanner drives W caller-owned worlds (ScanWorld). The pair list
+// is dealt round-robin across them, one worker thread per world when
+// W > 1; each worker measures its slice against private copies of the
+// caller's matrix and half-circuit cache, and the per-world reports and
+// copies are merged after the threads join. Threads never share mutable
+// state, so the engine is clean under TSan by construction. Inside each
+// world one of two drivers runs:
+//
+//  - the pool (the default): the world's K measurers keep up to K pairs in
+//    flight on its event loop, under an admission policy that caps
+//    concurrent circuits per target relay, so a hot relay is never probed
+//    by many circuits at once (which would inflate its observed minimum,
+//    the congestion concern of §4.3). K = 1 is the paper's own
+//    one-pair-at-a-time scan.
+//  - deterministic replay (ScanOptions::deterministic): pairs strictly one
+//    at a time on the world's first measurer, with the world reseeded
+//    before every probe, so each pair's estimate is a pure function of
+//    (world construction seed, pair_seed, x, y) and the merged matrix is
+//    bit-identical for any W. Cache entries carry a zero timestamp because
+//    the worlds run unrelated virtual clocks.
 //
 // Failures are handled per ErrorClass (see measurer.h): transients retry
 // with backoff, permanents fail immediately after their single attempt, and
-// churned relays are re-resolved against the live consensus (descriptor
-// re-injected into the pool's onion proxies) before the pair is requeued.
+// churned relays are re-resolved against the world's live consensus
+// (descriptor re-injected into its onion proxies) before the pair is
+// requeued.
+//
+// Caveat: fault plans fire at per-world virtual times, so bit-identity
+// across world counts is only guaranteed for fault-free scans.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -42,19 +57,11 @@ namespace ting::meas {
 class ScanJournal;
 
 struct ScanOptions {
-  /// Skip pairs whose cached entry is younger than this (0 = remeasure all).
+  /// Skip pairs whose cached entry is at most this old (0 = remeasure all).
   Duration max_age = Duration::seconds(7 * 24 * 3600);
   int attempts_per_pair = 2;
   bool randomize_order = true;
   std::uint64_t order_seed = 1;
-  /// The directory's live view of the network, if the caller has one. When
-  /// set, a churned-relay failure is re-resolved against it before the pair
-  /// is requeued (the relay's descriptor, if it rejoined, is re-injected
-  /// into the pool's onion proxies), and relays absent from it at scan
-  /// start are treated as permanently unknown. When null, the engine falls
-  /// back to its first measurer's consensus snapshot for the never-known
-  /// distinction and churned pairs retry without re-resolution.
-  const dir::Consensus* live_consensus = nullptr;
   /// Delay before a churned pair is requeued — time for a fresh consensus
   /// to arrive, used instead of the exponential transient backoff.
   Duration churn_requeue_delay = Duration::seconds(60);
@@ -62,52 +69,78 @@ struct ScanOptions {
   /// retry_backoff_base * retry_backoff_factor^(k-1).
   Duration retry_backoff_base = Duration::seconds(10);
   int retry_backoff_factor = 2;
-  /// Optional fault plan whose scheduled events (those firing inside the
-  /// scan window) are copied into ScanReport::fault_events.
-  const simnet::FaultPlan* fault_plan = nullptr;
+  /// Max concurrent pair measurements touching one target relay in the
+  /// pool. A pair (x, y) holds one slot on x and one on y for its whole
+  /// measurement (its three circuits all traverse them).
+  int per_relay_cap = 1;
 
   // ---- measurement-plane optimizations -------------------------------------
   /// Half-circuit memoization: when set, fresh R_Cx/R_Cy entries satisfy the
   /// C_x/C_y probes without building a circuit, and successful misses are
-  /// stored back. The engines attach the cache to their pool measurers for
-  /// the scan's duration (entries are keyed per measurement apparatus — see
-  /// half_circuit_cache.h); the deterministic path instead reseeds the world
-  /// per half-circuit so memoized and fresh values are bit-identical. A
-  /// relay's entries are dropped whenever churn forces a re-resolution.
+  /// stored back. The pool attaches the cache to its measurers for the
+  /// scan's duration (entries are keyed per measurement apparatus — see
+  /// half_circuit_cache.h); the deterministic driver instead reseeds the
+  /// world per half-circuit so memoized and fresh values are bit-identical.
+  /// A relay's entries are dropped whenever churn forces a re-resolution.
   HalfCircuitCache* half_cache = nullptr;
-  /// Pipelined circuit builds: while one pair samples, its measurer (or the
-  /// predicted next pool host) prebuilds the next pair's C_xy circuit, so
-  /// EXTENDCIRCUIT round trips overlap sampling instead of serialising
-  /// behind it. Ignored in deterministic mode, where a circuit built under
-  /// the previous pair's world seed would break per-pair purity.
+  /// Pipelined circuit builds: while one pair samples, its host prebuilds
+  /// the C_xy circuit of a queued pair and the pool routes that pair back
+  /// to it, so EXTENDCIRCUIT round trips overlap sampling instead of
+  /// serialising behind it. Ignored in deterministic mode, where a circuit
+  /// built under the previous pair's world seed would break per-pair purity.
   bool pipeline_builds = true;
 
   // ---- crash safety and graceful degradation -------------------------------
   /// Write-ahead journal: every terminally-resolved pair (and, via the
   /// half-circuit cache's store observer, every half measurement) is
   /// appended and fsync'd as it lands, so a crashed scan can resume from
-  /// the journal. Shared across shard threads (the journal is thread-safe).
+  /// the journal. Shared across worker threads (the journal is thread-safe).
   ScanJournal* journal = nullptr;
   /// Graceful-shutdown flag (e.g. set from a SIGINT handler). When it goes
-  /// true the engines stop claiming new pairs, let in-flight measurements
-  /// drain, and report the unprobed remainder as interrupted_pairs.
+  /// true the engine stops claiming new pairs, lets in-flight measurements
+  /// drain, and reports the unprobed remainder as interrupted_pairs.
   const std::atomic<bool>* stop = nullptr;
   /// Per-relay circuit breaker (see quarantine.h): consecutive permanent
   /// failures quarantine a relay, deferring its pending pairs instead of
   /// burning one doomed attempt per pair.
   QuarantineOptions quarantine;
 
-  // ---- deterministic per-pair mode (sharded scanning) ----------------------
-  /// When set, the parallel engine measures pairs strictly one at a time on
-  /// its first measurer: before every attempt it drains in-flight traffic
-  /// and calls reseed_world(pair_reseed(pair_seed, x, y)), making each
-  /// pair's estimate a pure function of (world construction seed, pair_seed,
-  /// x, y) — bit-identical no matter how pairs are partitioned across shard
-  /// worlds. Cache entries are recorded with a zero timestamp because shard
-  /// worlds have unrelated virtual clocks.
-  std::function<void(std::uint64_t)> reseed_world;
+  // ---- deterministic per-pair mode -----------------------------------------
+  /// Measure strictly one pair at a time on each world's first measurer,
+  /// draining in-flight traffic and calling the world's reseed hook with
+  /// pair_reseed(pair_seed, x, y) before every attempt (see the file
+  /// comment). Every world must supply a reseed hook.
+  bool deterministic = false;
   /// Master seed mixed into every per-pair reseed value.
   std::uint64_t pair_seed = 1;
+};
+
+/// One world the engine drives: a simulation (or a deployment) whose
+/// measurers share one event loop, plus the hooks that describe it. The
+/// caller owns everything referenced here and keeps it alive for the scan;
+/// with W > 1 worlds each is driven from its own thread, so nothing mutable
+/// may be shared between them.
+struct ScanWorld {
+  /// The measurement pool: K >= 1 measurers (one per measurement host),
+  /// all on one event loop, already started. The pool keeps up to K pairs
+  /// in flight; deterministic mode drives only the first.
+  std::vector<TingMeasurer*> measurers{};
+  /// Reset every stochastic component of the world (network jitter rng,
+  /// relay queue rngs, measurement-apparatus rngs) to a deterministic
+  /// function of the seed; fingerprints, sessions and topology stay put.
+  /// Required in deterministic mode, unused otherwise.
+  std::function<void(std::uint64_t)> reseed{};
+  /// The directory's live view of the network, if the world has one. When
+  /// set, a churned-relay failure is re-resolved against it before the pair
+  /// is requeued (the relay's descriptor, if it rejoined, is re-injected
+  /// into the pool's onion proxies), and relays absent from it at scan
+  /// start are treated as permanently unknown. When null, the engine falls
+  /// back to the first measurer's consensus snapshot for the never-known
+  /// distinction and churned pairs retry without re-resolution.
+  const dir::Consensus* live_consensus = nullptr;
+  /// Fault plan active in this world (already installed); its events that
+  /// fire inside the scan window are copied into ScanReport::fault_events.
+  const simnet::FaultPlan* fault_plan = nullptr;
 };
 
 /// The world-reseed value for a pair: a well-mixed function of the master
@@ -117,8 +150,8 @@ std::uint64_t pair_reseed(std::uint64_t pair_seed, const dir::Fingerprint& x,
 
 /// The world-reseed value for a single half circuit C_x: a function of the
 /// master seed and x alone (distinct domain from pair_reseed), so R_Cx is a
-/// pure per-relay quantity the deterministic engine can memoize without
-/// breaking bit-identity across shard counts.
+/// pure per-relay quantity the deterministic driver can memoize without
+/// breaking bit-identity across world counts.
 std::uint64_t half_reseed(std::uint64_t pair_seed, const dir::Fingerprint& x);
 
 /// A pair that exhausted its attempts (or failed permanently), with the
@@ -137,6 +170,10 @@ struct DeferredPair {
   dir::Fingerprint relay;  ///< the quarantined relay the deferral is due to
 };
 
+/// The outcome of a scan. Counters sum across worlds; max_in_flight sums
+/// too (the worlds really run at once) while max_per_relay_in_flight and
+/// virtual_time take the max; the pair and event lists are sorted, so the
+/// report does not depend on the world count.
 struct ScanReport {
   std::size_t pairs_total = 0;
   std::size_t measured = 0;      ///< freshly measured this scan
@@ -188,106 +225,52 @@ struct ScanReport {
 
   // ---- optimization observability ------------------------------------------
   /// EXTENDCIRCUIT launches across all attempts (a cold pair costs 3; a pair
-  /// with both halves memoized costs 1). Summed across shards.
+  /// with both halves memoized costs 1).
   std::size_t circuits_built = 0;
   /// C_x/C_y probes satisfied from the half-circuit cache.
   std::size_t half_cache_hits = 0;
   /// Echo samples the adaptive early-stop avoided, summed over all probes.
   std::size_t samples_saved = 0;
-
-  // ---- setup-vs-measurement observability ----------------------------------
-  /// Wall-clock milliseconds spent constructing shard worlds (summed across
-  /// shards; 0 for engines that were handed pre-built worlds). Makes the
-  /// setup-vs-measurement split visible per run: a sharded scan that burns
-  /// its parallelism budget cloning worlds shows up here, not as throughput.
-  double world_construct_ms = 0;
-  /// World reseeds performed by the deterministic engine (one per pair plus
-  /// one per non-memoized half probe). Summed across shards.
+  /// World reseeds performed in deterministic mode (one per pair plus one
+  /// per non-memoized half probe).
   std::size_t reseeds = 0;
 };
 
-/// Progress callback: (pairs done, pairs total, last pair's result).
+/// Progress callback: (pairs done, pairs total, last pair's result). With
+/// W > 1 worlds it is invoked under a mutex, with counts aggregated across
+/// worlds, in completion order.
 using ScanProgress =
     std::function<void(std::size_t, std::size_t, const PairResult&)>;
 
-class AllPairsScanner {
- public:
-  using Progress = ScanProgress;
-
-  AllPairsScanner(TingMeasurer& measurer, RttMatrix& cache)
-      : measurer_(measurer), cache_(cache) {}
-
-  /// Measure all unordered pairs of `nodes` (blocking; pumps the event
-  /// loop). Results are written into the cache matrix.
-  ScanReport scan(const std::vector<dir::Fingerprint>& nodes,
-                  const ScanOptions& options = {},
-                  const Progress& progress = {});
-
-  RttMatrix& cache() { return cache_; }
-
- private:
-  TingMeasurer& measurer_;
-  RttMatrix& cache_;
-};
-
-struct ParallelScanOptions : ScanOptions {
-  /// Max concurrent pair measurements touching one target relay. A pair
-  /// (x, y) holds one slot on x and one on y for its whole measurement
-  /// (its three circuits all traverse them).
-  int per_relay_cap = 1;
-};
-
 class ParallelScanner {
  public:
-  using Progress = ScanProgress;
-
-  /// The engine drives one measurer (= one measurement host) per in-flight
-  /// pair; all must share one event loop. Concurrency K = measurers.size().
-  ParallelScanner(std::vector<TingMeasurer*> measurers, RttMatrix& cache);
-
   /// Index pairs into a `nodes` vector: (i, j) with i != j.
   using PairList = std::vector<std::pair<std::size_t, std::size_t>>;
 
-  /// Measure all unordered pairs of `nodes` (blocking; pumps the shared
-  /// event loop until every pair has succeeded, exhausted its attempts, or
-  /// been served from cache). Results are written into the cache matrix.
-  ScanReport scan(const std::vector<dir::Fingerprint>& nodes,
-                  const ParallelScanOptions& options = {},
-                  const Progress& progress = {});
+  /// Drive `worlds` (W >= 1); results are merged into `cache`.
+  ParallelScanner(std::vector<ScanWorld> worlds, RttMatrix& cache);
+  /// One world without hooks: a pool of measurers sharing one event loop.
+  ParallelScanner(std::vector<TingMeasurer*> measurers, RttMatrix& cache);
 
-  /// Measure an explicit pair worklist — the sharded scanner's entry point
-  /// (each shard world gets a slice of the canonical all-pairs list). When
-  /// options.reseed_world is set, pairs run strictly serially on the first
-  /// measurer with a world reseed before every attempt (see ScanOptions);
-  /// otherwise the normal concurrent engine runs over the list.
+  /// Measure all unordered pairs of `nodes` (blocking; pumps the worlds'
+  /// event loops until every pair has succeeded, exhausted its attempts,
+  /// been deferred, or been served from cache).
+  ScanReport scan(const std::vector<dir::Fingerprint>& nodes,
+                  const ScanOptions& options = {},
+                  const ScanProgress& progress = {});
+
+  /// Measure an explicit pair worklist (the scan daemon hands over each
+  /// epoch's delta plan). Same partitioning, merge and determinism rules as
+  /// scan(), which is this method over the full all-pairs list. A world's
+  /// exception is rethrown after every worker has joined.
   ScanReport scan_pairs(const std::vector<dir::Fingerprint>& nodes,
-                        const PairList& pairs,
-                        const ParallelScanOptions& options = {},
-                        const Progress& progress = {});
+                        const PairList& pairs, const ScanOptions& options = {},
+                        const ScanProgress& progress = {});
 
   RttMatrix& cache() { return cache_; }
-  std::size_t pool_size() const { return measurers_.size(); }
 
  private:
-  ScanReport scan_deterministic(const std::vector<dir::Fingerprint>& nodes,
-                                const PairList& pairs,
-                                const ParallelScanOptions& options,
-                                const Progress& progress);
-
-  struct ScanState;
-  void pump(ScanState& st);
-  void dispatch(ScanState& st, std::size_t host, std::size_t task);
-  /// Terminal/retry resolution of one measurement. Always entered through a
-  /// deferred event, never directly from dispatch(): measure_async can fail
-  /// synchronously, and resolving inline would re-enter pump() once per
-  /// failing task (deep recursion on large scans).
-  void on_complete(ScanState& st, std::size_t host, std::size_t task,
-                   PairResult r);
-  /// Resolve a task as deferred (a quarantined-terminal relay touches it).
-  void resolve_deferred(ScanState& st, std::size_t task,
-                        const dir::Fingerprint& culprit);
-
-  std::vector<TingMeasurer*> measurers_;
+  std::vector<ScanWorld> worlds_;
   RttMatrix& cache_;
 };
 

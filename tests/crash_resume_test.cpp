@@ -15,7 +15,6 @@
 #include "ting/rtt_matrix.h"
 #include "ting/scan_journal.h"
 #include "ting/scheduler.h"
-#include "ting/sharded_scan.h"
 #include "util/assert.h"
 #include "util/atomic_file.h"
 
@@ -280,13 +279,22 @@ void attach_journal_observer(HalfCircuitCache& halves, ScanJournal& journal) {
 /// from the journal. The resumed artifacts must equal the reference's bytes.
 void kill_and_resume_bit_identity(std::size_t shards) {
   const scenario::ShardWorldOptions wo = small_world(41);
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  const scenario::TopologyPtr topology = scenario::shard_topology(wo);
+  const std::vector<dir::Fingerprint> nodes =
+      scenario::shard_scan_nodes(wo, topology);
   ASSERT_EQ(nodes.size(), 8u);
   const std::string journal_path =
       temp_path("kill_w" + std::to_string(shards) + ".journal");
 
-  ShardedScanOptions so;
-  so.shards = shards;
+  // Every run gets fresh worlds, as a new `ting scan` process would.
+  const auto scan = [&](RttMatrix& m, const ScanOptions& options,
+                        const ScanProgress& progress = {}) {
+    const auto worlds = scenario::make_shard_worlds(wo, topology, shards);
+    ParallelScanner scanner(scenario::scan_worlds(worlds), m);
+    return scanner.scan(nodes, options, progress);
+  };
+  ScanOptions so;
+  so.deterministic = true;
   so.pair_seed = 7;
 
   // Reference: uninterrupted, no journal.
@@ -294,10 +302,9 @@ void kill_and_resume_bit_identity(std::size_t shards) {
   {
     RttMatrix m;
     HalfCircuitCache halves;
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    ShardedScanOptions ref = so;
+    ScanOptions ref = so;
     ref.half_cache = &halves;
-    const ScanReport r = scanner.scan(nodes, m, ref);
+    const ScanReport r = scan(m, ref);
     ASSERT_EQ(r.measured, 28u);
     ref_csv = m.to_csv();
     ref_halves = halves.to_csv();
@@ -312,13 +319,12 @@ void kill_and_resume_bit_identity(std::size_t shards) {
     ScanJournal journal(journal_path, ScanJournal::Mode::kFresh,
                         meta_of(so.pair_seed, nodes.size()));
     attach_journal_observer(halves, journal);
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    ShardedScanOptions cut = so;
+    ScanOptions cut = so;
     cut.half_cache = &halves;
     cut.journal = &journal;
     cut.stop = &stop;
-    const ScanReport r = scanner.scan(
-        nodes, m, cut, [&](std::size_t, std::size_t, const PairResult&) {
+    const ScanReport r =
+        scan(m, cut, [&](std::size_t, std::size_t, const PairResult&) {
           if (resolved.fetch_add(1) + 1 >= 14) stop.store(true);
         });
     ASSERT_TRUE(r.interrupted);
@@ -340,11 +346,10 @@ void kill_and_resume_bit_identity(std::size_t shards) {
     ASSERT_GT(journal.ok_pairs(), 0u);
     journal.restore(m, &halves);
     attach_journal_observer(halves, journal);
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    ShardedScanOptions fin = so;
+    ScanOptions fin = so;
     fin.half_cache = &halves;
     fin.journal = &journal;
-    const ScanReport r = scanner.scan(nodes, m, fin);
+    const ScanReport r = scan(m, fin);
     EXPECT_FALSE(r.interrupted);
     EXPECT_EQ(r.measured + r.from_cache, 28u);
     EXPECT_GE(r.from_cache, 1u);  // the journaled pairs were skipped

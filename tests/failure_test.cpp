@@ -211,7 +211,7 @@ TEST(FailureTest, ScanSurvivesACrashedRelay) {
   cfg.build_timeout = Duration::seconds(20);
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   tb.net().set_host_down(tb.host_of(tb.fp(1)));
   std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), tb.fp(2)};
@@ -313,19 +313,18 @@ TEST(FailureTest, ScanRecoversAfterCrashWindow) {
   cfg.build_timeout = Duration::seconds(20);
   cfg.max_build_attempts = 1;
   TingMeasurer measurer(tb.ting(), cfg);
-  RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
 
   // Relay 1 is down from the start and recovers after 60 s; the engine's
-  // transient retries (backoff in the parallel engine, immediate re-attempt
-  // here) must pick it back up.
+  // transient retries with backoff must pick it back up.
   simnet::FaultPlan plan(tb.net());
   plan.crash_window(tb.host_of(tb.fp(1)), Duration(), Duration::seconds(60));
+  RttMatrix cache;
+  ParallelScanner scanner(
+      {ScanWorld{.measurers = {&measurer}, .fault_plan = &plan}}, cache);
 
   std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), tb.fp(2)};
   ScanOptions options;
   options.attempts_per_pair = 5;
-  options.fault_plan = &plan;
   const ScanReport report = scanner.scan(nodes, options);
 
   EXPECT_EQ(report.measured, 3u);
@@ -346,8 +345,6 @@ TEST(FailureTest, SequentialScanReresolvesChurnedRelay) {
   TingConfig cfg;
   cfg.samples = 10;
   TingMeasurer measurer(tb.ting(), cfg);
-  RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
 
   // fp(2) leaves the consensus 1 s into the scan and rejoins at 51 s.
   simnet::FaultPlan plan(tb.net());
@@ -356,14 +353,17 @@ TEST(FailureTest, SequentialScanReresolvesChurnedRelay) {
           [&tb, stash]() { *stash = tb.directory_remove(tb.fp(2)); });
   plan.at(Duration::seconds(51), "consensus: +" + tb.fp(2).short_name(),
           [&tb, stash]() { tb.directory_restore(**stash); });
+  RttMatrix cache;
+  ParallelScanner scanner({ScanWorld{.measurers = {&measurer},
+                                     .live_consensus = &tb.consensus(),
+                                     .fault_plan = &plan}},
+                          cache);
 
   std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), tb.fp(2)};
   ScanOptions options;
   options.attempts_per_pair = 4;
   options.randomize_order = false;  // (0,1) first, then the churned pairs
-  options.live_consensus = &tb.consensus();
   options.churn_requeue_delay = Duration::seconds(30);
-  options.fault_plan = &plan;
   const ScanReport report = scanner.scan(nodes, options);
 
   // Every pair eventually measures: churned attempts waited for a fresh
@@ -387,22 +387,22 @@ TEST(FailureTest, ParallelScanReresolvesChurnedRelay) {
     owned.push_back(std::make_unique<TingMeasurer>(*host, cfg));
     pool.push_back(owned.back().get());
   }
-  RttMatrix cache;
-  ParallelScanner scanner(pool, cache);
-
   simnet::FaultPlan plan(tb.net());
   auto stash = std::make_shared<std::optional<dir::RelayDescriptor>>();
   plan.at(Duration::seconds(1), "consensus: -" + tb.fp(3).short_name(),
           [&tb, stash]() { *stash = tb.directory_remove(tb.fp(3)); });
   plan.at(Duration::seconds(51), "consensus: +" + tb.fp(3).short_name(),
           [&tb, stash]() { tb.directory_restore(**stash); });
+  RttMatrix cache;
+  ParallelScanner scanner({ScanWorld{.measurers = pool,
+                                     .live_consensus = &tb.consensus(),
+                                     .fault_plan = &plan}},
+                          cache);
 
   std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), tb.fp(2), tb.fp(3)};
-  ParallelScanOptions options;
+  ScanOptions options;
   options.attempts_per_pair = 5;
-  options.live_consensus = &tb.consensus();
   options.churn_requeue_delay = Duration::seconds(30);
-  options.fault_plan = &plan;
   const ScanReport report = scanner.scan(nodes, options);
 
   EXPECT_EQ(report.measured, 6u) << "failed: " << report.failed;
@@ -456,13 +456,14 @@ TEST(FailureTest, TwentyNodeScanUnderChurnAndLoss) {
     pool.push_back(owned.back().get());
   }
   RttMatrix cache;
-  ParallelScanner scanner(pool, cache);
-  ParallelScanOptions options;
+  ParallelScanner scanner({ScanWorld{.measurers = pool,
+                                     .live_consensus = &tb.consensus(),
+                                     .fault_plan = &plan}},
+                          cache);
+  ScanOptions options;
   options.attempts_per_pair = 6;
-  options.live_consensus = &tb.consensus();
   options.churn_requeue_delay = Duration::seconds(20);
   options.retry_backoff_base = Duration::seconds(10);
-  options.fault_plan = &plan;
   const ScanReport report = scanner.scan(nodes, options);
 
   const std::size_t pairs = nodes.size() * (nodes.size() - 1) / 2;  // 190

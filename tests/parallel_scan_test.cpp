@@ -1,6 +1,7 @@
-// Tests for ParallelScanner: estimate parity with the sequential engine,
-// virtual-time speedup from keeping K pairs in flight, the per-relay
-// admission cap, retry-with-backoff on injected failures, and cache reuse.
+// Tests for the scan engine's pool: estimate parity between K>1 and the
+// one-pair-at-a-time K=1 scan, virtual-time speedup from keeping K pairs
+// in flight, the per-relay admission cap, retry-with-backoff on injected
+// failures, pipelined builds, and cache reuse.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -51,7 +52,7 @@ TEST(ParallelScanTest, MatchesSequentialPairForPair) {
 
   TingMeasurer sequential_measurer(tb.ting(), cfg);
   RttMatrix seq_cache;
-  AllPairsScanner sequential(sequential_measurer, seq_cache);
+  ParallelScanner sequential({&sequential_measurer}, seq_cache);
   const ScanReport seq = sequential.scan(nodes);
   ASSERT_EQ(seq.measured, 45u);
 
@@ -74,8 +75,8 @@ TEST(ParallelScanTest, MatchesSequentialPairForPair) {
   EXPECT_GT(par.max_in_flight, 1u);
   EXPECT_GT(par.time_sampling.sec(), 0.0);
 
-  // Pair-for-pair parity with the sequential engine (same world, same
-  // relays; only sampling jitter differs).
+  // Pair-for-pair parity with the K=1 scan (same world, same relays; only
+  // sampling jitter differs).
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
       const auto a = seq_cache.rtt(nodes[i], nodes[j]);
@@ -95,7 +96,7 @@ TEST(ParallelScanTest, ThirtyNodeScanAtK8IsAtLeastFourTimesFaster) {
 
   TingMeasurer sequential_measurer(tb.ting(), cfg);
   RttMatrix seq_cache;
-  AllPairsScanner sequential(sequential_measurer, seq_cache);
+  ParallelScanner sequential({&sequential_measurer}, seq_cache);
   const ScanReport seq = sequential.scan(nodes);
   ASSERT_EQ(seq.measured, 435u);
 
@@ -112,7 +113,7 @@ TEST(ParallelScanTest, ThirtyNodeScanAtK8IsAtLeastFourTimesFaster) {
   EXPECT_LE(par.virtual_time.sec() * 4.0, seq.virtual_time.sec())
       << "parallel " << par.virtual_time.sec() << "s vs sequential "
       << seq.virtual_time.sec() << "s";
-  // ... with every pair's estimate within 1 ms of the sequential scan's.
+  // ... with every pair's estimate within 1 ms of the K=1 scan's.
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)
       EXPECT_NEAR(*seq_cache.rtt(nodes[i], nodes[j]),
@@ -142,7 +143,7 @@ TEST(ParallelScanTest, PerRelayCircuitCapIsNeverExceeded) {
   {
     RttMatrix cache;
     ParallelScanner scanner(pool.measurers, cache);
-    ParallelScanOptions options;
+    ScanOptions options;
     options.per_relay_cap = 2;
     options.max_age = Duration::seconds(0);  // force remeasurement
     const ScanReport report = scanner.scan(nodes, options);
@@ -171,7 +172,7 @@ TEST(ParallelScanTest, InjectedFailuresAreRetriedWithBackoff) {
   Pool pool(tb, 3, cfg);
   RttMatrix cache;
   ParallelScanner scanner(pool.measurers, cache);
-  ParallelScanOptions options;
+  ScanOptions options;
   options.attempts_per_pair = 3;
   options.retry_backoff_base = Duration::seconds(60);
   const ScanReport report = scanner.scan(nodes, options);
@@ -201,7 +202,7 @@ TEST(ParallelScanTest, PersistentFailuresSurfaceInFailedPairs) {
   Pool pool(tb, 2, cfg);
   RttMatrix cache;
   ParallelScanner scanner(pool.measurers, cache);
-  ParallelScanOptions options;
+  ScanOptions options;
   options.attempts_per_pair = 2;
   options.retry_backoff_base = Duration::seconds(5);
   const ScanReport report = scanner.scan(nodes, options);
@@ -241,7 +242,7 @@ TEST(ParallelScanTest, ManySynchronousFailuresDoNotRecursePump) {
   Pool pool(tb, 4, cfg);
   RttMatrix cache;
   ParallelScanner scanner(pool.measurers, cache);
-  ParallelScanOptions options;
+  ScanOptions options;
   options.attempts_per_pair = 1;
   const ScanReport report = scanner.scan(nodes, options);
 
@@ -275,7 +276,7 @@ TEST(ParallelScanTest, OptimizedScanMatchesColdScanClosely) {
   Pool cold_pool(cold_world, 4, cold_cfg);
   RttMatrix cold_cache;
   ParallelScanner cold_scanner(cold_pool.measurers, cold_cache);
-  ParallelScanOptions cold_options;
+  ScanOptions cold_options;
   cold_options.pipeline_builds = false;
   const ScanReport cold = cold_scanner.scan(cold_nodes, cold_options);
   ASSERT_EQ(cold.measured, 45u);
@@ -289,7 +290,7 @@ TEST(ParallelScanTest, OptimizedScanMatchesColdScanClosely) {
   Pool opt_pool(opt_world, 4, opt_cfg);
   RttMatrix opt_cache;
   ParallelScanner opt_scanner(opt_pool.measurers, opt_cache);
-  ParallelScanOptions opt_options;
+  ScanOptions opt_options;
   HalfCircuitCache halves;
   opt_options.half_cache = &halves;
   const ScanReport opt = opt_scanner.scan(opt_nodes, opt_options);
@@ -310,9 +311,9 @@ TEST(ParallelScanTest, OptimizedScanMatchesColdScanClosely) {
 }
 
 TEST(ParallelScanTest, PipelinedBuildsReduceSequentialScanTime) {
-  // AllPairsScanner with pipelining prebuilds pair p+1's C_xy while pair p
-  // samples, so the serial engine's virtual time drops by roughly one
-  // build's worth of EXTENDCIRCUIT round trips per pair.
+  // A K=1 pool with pipelining prebuilds the next pair's C_xy while the
+  // current pair samples, so the one-at-a-time scan's virtual time drops by
+  // roughly one build's worth of EXTENDCIRCUIT round trips per pair.
   TingConfig cfg;
   cfg.samples = 20;
   std::vector<std::size_t> idx{0, 1, 2, 3, 4, 5, 6, 7};
@@ -323,7 +324,7 @@ TEST(ParallelScanTest, PipelinedBuildsReduceSequentialScanTime) {
     for (std::size_t i : idx) nodes.push_back(tb.fp(i));
     TingMeasurer m(tb.ting(), cfg);
     RttMatrix cache;
-    AllPairsScanner scanner(m, cache);
+    ParallelScanner scanner({&m}, cache);
     ScanOptions options;
     options.pipeline_builds = pipeline;
     const ScanReport r = scanner.scan(nodes, options);

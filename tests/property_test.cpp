@@ -2,7 +2,9 @@
 // protocol parameters with TEST_P / INSTANTIATE_TEST_SUITE_P.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "cells/cell.h"
@@ -204,6 +206,16 @@ struct PolicyCase {
   std::uint16_t port;
   bool expect_allowed;
 };
+
+// Without this, gtest prints the case as raw bytes, pointer values
+// included, so the discovered ctest names changed from build to build.
+void PrintTo(const PolicyCase& c, std::ostream* os) {
+  std::string policy = c.policy;
+  for (std::size_t nl = policy.find('\n'); nl != std::string::npos;
+       nl = policy.find('\n', nl))
+    policy.replace(nl, 1, ", ");
+  *os << '{' << policy << "} " << c.ip << ':' << c.port;
+}
 
 class ExitPolicyProperty : public ::testing::TestWithParam<PolicyCase> {};
 

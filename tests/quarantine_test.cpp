@@ -4,8 +4,8 @@
 // permanent failures; its pending pairs are held (not burned at one doomed
 // attempt each), re-probed on probation when the window expires, and
 // written off (deferred, accounted in ScanReport) once the window budget
-// is spent. Both the serial and the parallel engine must implement the
-// same policy with the same counts.
+// is spent. The scan engine's deterministic driver and its pool must
+// implement the same policy with the same counts.
 #include <gtest/gtest.h>
 
 #include "scenario/faults.h"
@@ -198,9 +198,18 @@ TEST(QuarantineScanTest, SerialEngineQuarantinesScriptedDeadRelay) {
   cfg.samples = 10;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
-  const ScanReport report = scanner.scan(nodes, quarantine_scan_options());
-  check_quarantine_report(report, nodes[7], "serial");
+  // Deterministic replay: strictly one pair at a time, world reseeded per
+  // probe.
+  ParallelScanner scanner(
+      {ScanWorld{.measurers = {&measurer},
+                 .reseed = [&tb](std::uint64_t s) {
+                   tb.reseed_stochastics(s);
+                 }}},
+      cache);
+  ScanOptions options = quarantine_scan_options();
+  options.deterministic = true;
+  const ScanReport report = scanner.scan(nodes, options);
+  check_quarantine_report(report, nodes[7], "deterministic");
   // The healthy 7-node clique all landed in the cache.
   for (std::size_t i = 0; i < 7; ++i)
     for (std::size_t j = i + 1; j < 7; ++j)
@@ -219,12 +228,10 @@ TEST(QuarantineScanTest, ParallelEngineQuarantinesScriptedDeadRelay) {
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
   // One measurer: pairs resolve in claim order, so the same walkthrough
-  // (and the same counts) applies to the parallel engine's pump.
+  // (and the same counts) applies to the pool's pump.
   ParallelScanner scanner({&measurer}, cache);
-  ParallelScanOptions options;
-  static_cast<ScanOptions&>(options) = quarantine_scan_options();
-  const ScanReport report = scanner.scan(nodes, options);
-  check_quarantine_report(report, nodes[7], "parallel");
+  const ScanReport report = scanner.scan(nodes, quarantine_scan_options());
+  check_quarantine_report(report, nodes[7], "pool");
 }
 
 TEST(QuarantineScanTest, DisabledBreakerKeepsPerPairSemantics) {
@@ -240,7 +247,7 @@ TEST(QuarantineScanTest, DisabledBreakerKeepsPerPairSemantics) {
   cfg.samples = 10;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
   ScanOptions options;
   options.randomize_order = false;
   const ScanReport report = scanner.scan(nodes, options);

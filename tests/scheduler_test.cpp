@@ -1,6 +1,7 @@
-// Tests for AllPairsScanner: full coverage of the pair set, cache-driven
-// skipping (§4.6), retry-then-report on persistent failures, and progress
-// reporting.
+// Tests for the scan engine at K=1, the paper's one-pair-at-a-time scan:
+// full coverage of the pair set, cache-driven skipping (§4.6), the
+// max_age = 0 "remeasure all" boundary in both drivers, retry-then-report
+// on persistent failures, and progress reporting.
 #include <gtest/gtest.h>
 
 #include "scenario/testbed.h"
@@ -24,7 +25,7 @@ TEST(SchedulerTest, ScansAllPairsIntoCache) {
   cfg.samples = 30;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   std::vector<dir::Fingerprint> nodes;
   for (std::size_t i = 0; i < 6; ++i) nodes.push_back(tb.fp(i));
@@ -61,7 +62,7 @@ TEST(SchedulerTest, FreshCacheEntriesAreSkipped) {
   cfg.samples = 20;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   std::vector<dir::Fingerprint> nodes;
   for (std::size_t i = 0; i < 5; ++i) nodes.push_back(tb.fp(i));
@@ -86,13 +87,53 @@ TEST(SchedulerTest, FreshCacheEntriesAreSkipped) {
   EXPECT_EQ(fourth.measured, 10u);
 }
 
+// Every pair already sits in the cache stamped at the current virtual
+// instant: max_age = 0 must still remeasure all of them (is_fresh is
+// inclusive, so "age 0 <= max_age 0" would otherwise count as fresh), in
+// the pool and in deterministic replay alike.
+TEST(SchedulerTest, MaxAgeZeroRemeasuresEntriesStampedNow) {
+  for (const bool deterministic : {false, true}) {
+    scenario::Testbed tb = scenario::planetlab31(calm(305));
+    TingConfig cfg;
+    cfg.samples = 10;
+    TingMeasurer measurer(tb.ting(), cfg);
+    RttMatrix cache;
+    ParallelScanner scanner(
+        {ScanWorld{.measurers = {&measurer},
+                   .reseed = [&tb](std::uint64_t s) {
+                     tb.reseed_stochastics(s);
+                   }}},
+        cache);
+
+    std::vector<dir::Fingerprint> nodes;
+    for (std::size_t i = 0; i < 5; ++i) nodes.push_back(tb.fp(i));
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      for (std::size_t j = i + 1; j < nodes.size(); ++j)
+        cache.set(nodes[i], nodes[j], 1.0, tb.loop().now(), 1);
+
+    ScanOptions options;
+    options.deterministic = deterministic;
+    const ScanReport cached = scanner.scan(nodes, options);
+    EXPECT_EQ(cached.from_cache, 10u) << "deterministic=" << deterministic;
+    EXPECT_EQ(cached.measured, 0u);
+
+    options.max_age = Duration::seconds(0);
+    const ScanReport forced = scanner.scan(nodes, options);
+    EXPECT_EQ(forced.measured, 10u) << "deterministic=" << deterministic;
+    EXPECT_EQ(forced.from_cache, 0u);
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      for (std::size_t j = i + 1; j < nodes.size(); ++j)
+        EXPECT_NE(*cache.rtt(nodes[i], nodes[j]), 1.0);
+  }
+}
+
 TEST(SchedulerTest, PersistentFailuresAreRetriedAndReported) {
   scenario::Testbed tb = scenario::planetlab31(calm(303));
   TingConfig cfg;
   cfg.samples = 20;
   TingMeasurer measurer(tb.ting(), cfg);
   RttMatrix cache;
-  AllPairsScanner scanner(measurer, cache);
+  ParallelScanner scanner({&measurer}, cache);
 
   // A node that is not in the consensus: every circuit through it fails.
   crypto::X25519Key ghost_key;
@@ -130,12 +171,12 @@ TEST(SchedulerTest, OrderSeedChangesVisitOrderNotResults) {
   for (std::size_t i = 0; i < 5; ++i) nodes.push_back(tb.fp(i));
 
   RttMatrix cache_a, cache_b;
-  AllPairsScanner scanner_a(measurer, cache_a);
+  ParallelScanner scanner_a({&measurer}, cache_a);
   ScanOptions oa;
   oa.order_seed = 1;
   scanner_a.scan(nodes, oa);
 
-  AllPairsScanner scanner_b(measurer, cache_b);
+  ParallelScanner scanner_b({&measurer}, cache_b);
   ScanOptions ob;
   ob.order_seed = 99;
   scanner_b.scan(nodes, ob);

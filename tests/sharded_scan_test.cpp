@@ -1,8 +1,9 @@
-// Tests for the sharded scan engine: the merged RttMatrix must be
-// bit-identical (as CSV bytes) across shard counts and against the
-// non-sharded ParallelScanner driven in deterministic mode, and the merged
-// ScanReport counters must add up. Kept small (8 nodes, few samples) so the
-// whole binary stays in the smoke label and runs under TSan.
+// Tests for the scan engine over several worlds: the merged RttMatrix must
+// be bit-identical (as CSV bytes) across world counts and against one
+// hand-wired world driven in deterministic mode, the merged ScanReport
+// counters must add up, and a world's exception must surface after every
+// worker joins. Kept small (8 nodes, few samples) so the whole binary stays
+// in the smoke label and runs under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include "scenario/shard_world.h"
 #include "ting/half_circuit_cache.h"
 #include "ting/scheduler.h"
-#include "ting/sharded_scan.h"
 
 namespace ting::meas {
 namespace {
@@ -26,31 +26,60 @@ scenario::ShardWorldOptions small_world(std::uint64_t seed) {
   return o;
 }
 
-ShardedScanOptions sharded(std::size_t shards, std::uint64_t pair_seed) {
-  ShardedScanOptions so;
-  so.shards = shards;
+ScanOptions deterministic(std::uint64_t pair_seed) {
+  ScanOptions so;
+  so.deterministic = true;
   so.pair_seed = pair_seed;
   return so;
 }
 
+/// Every scan gets W fresh worlds over one shared topology, built the way
+/// `ting scan --shards W` builds them.
+class TestbedWorlds {
+ public:
+  explicit TestbedWorlds(const scenario::ShardWorldOptions& wo)
+      : wo_(wo), topology_(scenario::shard_topology(wo)) {}
+
+  std::vector<dir::Fingerprint> nodes() const {
+    return scenario::shard_scan_nodes(wo_, topology_);
+  }
+
+  ScanReport scan_pairs(std::size_t shards,
+                        const ParallelScanner::PairList& pairs, RttMatrix& m,
+                        const ScanOptions& so,
+                        const ScanProgress& progress = {}) const {
+    const auto worlds = scenario::make_shard_worlds(wo_, topology_, shards);
+    ParallelScanner scanner(scenario::scan_worlds(worlds), m);
+    return scanner.scan_pairs(nodes(), pairs, so, progress);
+  }
+
+  ScanReport scan(std::size_t shards, RttMatrix& m, const ScanOptions& so,
+                  const ScanProgress& progress = {}) const {
+    const auto worlds = scenario::make_shard_worlds(wo_, topology_, shards);
+    ParallelScanner scanner(scenario::scan_worlds(worlds), m);
+    return scanner.scan(nodes(), so, progress);
+  }
+
+ private:
+  scenario::ShardWorldOptions wo_;
+  scenario::TopologyPtr topology_;
+};
+
 TEST(ShardedScanTest, BitIdenticalAcrossShardCounts) {
-  const scenario::ShardWorldOptions wo = small_world(41);
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
-  ASSERT_EQ(nodes.size(), 8u);
+  const TestbedWorlds sharded(small_world(41));
+  ASSERT_EQ(sharded.nodes().size(), 8u);
 
   std::string csv1, csv4;
   {
     RttMatrix m;
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    const ScanReport r = scanner.scan(nodes, m, sharded(1, 7));
+    const ScanReport r = sharded.scan(1, m, deterministic(7));
     EXPECT_EQ(r.failed, 0u);
     EXPECT_EQ(r.measured, 28u);
     csv1 = m.to_csv();
   }
   {
     RttMatrix m;
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    const ScanReport r = scanner.scan(nodes, m, sharded(4, 7));
+    const ScanReport r = sharded.scan(4, m, deterministic(7));
     EXPECT_EQ(r.failed, 0u);
     EXPECT_EQ(r.measured, 28u);
     // Four shards really do run at once.
@@ -63,39 +92,39 @@ TEST(ShardedScanTest, BitIdenticalAcrossShardCounts) {
 
 TEST(ShardedScanTest, MatchesNonShardedDeterministicScanner) {
   const scenario::ShardWorldOptions wo = small_world(41);
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  const TestbedWorlds sharded(wo);
+  const std::vector<dir::Fingerprint> nodes = sharded.nodes();
 
-  // The non-sharded path: one world, one ParallelScanner, deterministic
+  // The non-sharded path: one world built by live_tor, deterministic
   // per-pair reseeding wired up by hand.
   scenario::Testbed tb = scenario::live_tor(wo.relays, wo.testbed);
   TingMeasurer measurer(tb.ting(), wo.ting);
   RttMatrix plain;
-  ParallelScanner scanner({&measurer}, plain);
-  ParallelScanOptions po;
-  po.pair_seed = 7;
-  po.reseed_world = [&tb](std::uint64_t s) { tb.reseed_stochastics(s); };
-  const ScanReport r = scanner.scan(nodes, po);
+  ParallelScanner scanner(
+      {ScanWorld{.measurers = {&measurer},
+                 .reseed = [&tb](std::uint64_t s) {
+                   tb.reseed_stochastics(s);
+                 }}},
+      plain);
+  const ScanReport r = scanner.scan(nodes, deterministic(7));
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(r.measured, 28u);
 
   RttMatrix merged;
-  ShardedScanner sharded_scanner(scenario::make_testbed_shard_factory(wo));
-  const ScanReport sr = sharded_scanner.scan(nodes, merged, sharded(3, 7));
+  const ScanReport sr = sharded.scan(3, merged, deterministic(7));
   EXPECT_EQ(sr.failed, 0u);
 
   EXPECT_EQ(plain.to_csv(), merged.to_csv());
 }
 
 TEST(ShardedScanTest, MergedReportCountersAddUp) {
-  const scenario::ShardWorldOptions wo = small_world(43);
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  const TestbedWorlds sharded(small_world(43));
 
   RttMatrix m;
-  ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
   std::size_t progress_calls = 0;
   std::size_t last_done = 0;
-  const ScanReport r = scanner.scan(
-      nodes, m, sharded(3, 11),
+  const ScanReport r = sharded.scan(
+      3, m, deterministic(11),
       [&](std::size_t done, std::size_t total, const PairResult&) {
         ++progress_calls;
         EXPECT_LE(done, total);
@@ -129,17 +158,16 @@ TEST(ShardedScanTest, BitIdenticalAcrossShardCountsWithOptimizations) {
   wo.ting.min_samples = 10;
   wo.ting.plateau_samples = 10;
   wo.ting.epsilon_ms = 0.05;
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  const TestbedWorlds sharded(wo);
 
   std::string csv1, csv3, halves1, halves3;
   std::size_t built1 = 0, built3 = 0;
   {
     RttMatrix m;
     HalfCircuitCache halves;
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    ShardedScanOptions so = sharded(1, 7);
+    ScanOptions so = deterministic(7);
     so.half_cache = &halves;
-    const ScanReport r = scanner.scan(nodes, m, so);
+    const ScanReport r = sharded.scan(1, m, so);
     EXPECT_EQ(r.failed, 0u);
     EXPECT_GT(r.half_cache_hits, 0u);
     EXPECT_GT(r.samples_saved, 0u);
@@ -153,10 +181,9 @@ TEST(ShardedScanTest, BitIdenticalAcrossShardCountsWithOptimizations) {
   {
     RttMatrix m;
     HalfCircuitCache halves;
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    ShardedScanOptions so = sharded(3, 7);
+    ScanOptions so = deterministic(7);
     so.half_cache = &halves;
-    const ScanReport r = scanner.scan(nodes, m, so);
+    const ScanReport r = sharded.scan(3, m, so);
     EXPECT_EQ(r.failed, 0u);
     csv3 = m.to_csv();
     halves3 = halves.to_csv();
@@ -176,14 +203,13 @@ TEST(ShardedScanTest, MergedCountersIncludeOptimizationStats) {
   wo.ting.min_samples = 10;
   wo.ting.plateau_samples = 10;
   wo.ting.epsilon_ms = 0.05;
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  const TestbedWorlds sharded(wo);
 
   RttMatrix m;
   HalfCircuitCache halves;
-  ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-  ShardedScanOptions so = sharded(2, 9);
+  ScanOptions so = deterministic(9);
   so.half_cache = &halves;
-  const ScanReport r = scanner.scan(nodes, m, so);
+  const ScanReport r = sharded.scan(2, m, so);
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(r.measured, 28u);
   // Every measured pair builds at least C_xy; memoization keeps the total
@@ -193,13 +219,13 @@ TEST(ShardedScanTest, MergedCountersIncludeOptimizationStats) {
   EXPECT_GT(r.half_cache_hits, 0u);
   EXPECT_GT(r.samples_saved, 0u);
   // The merged cache holds one entry per (apparatus, relay); shard worlds
-  // are clones sharing one w fingerprint, so that is one entry per relay.
-  EXPECT_EQ(halves.size(), nodes.size());
+  // share one topology and so one w fingerprint: one entry per relay.
+  EXPECT_EQ(halves.size(), sharded.nodes().size());
 }
 
 TEST(ShardedScanTest, PairReseedIsCommutative) {
-  const scenario::ShardWorldOptions wo = small_world(41);
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  const std::vector<dir::Fingerprint> nodes =
+      TestbedWorlds(small_world(41)).nodes();
   EXPECT_EQ(pair_reseed(9, nodes[0], nodes[1]),
             pair_reseed(9, nodes[1], nodes[0]));
   EXPECT_NE(pair_reseed(9, nodes[0], nodes[1]),
@@ -212,19 +238,15 @@ TEST(ShardedScanTest, ScanPairsSubsetMatchesFullScanEntries) {
   // The daemon feeds explicit worklists through scan_pairs(); a subset
   // scan must reproduce exactly the full scan's per-pair estimates (each
   // estimate is a pure function of the pair, never of the worklist).
-  const scenario::ShardWorldOptions wo = small_world(41);
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+  const TestbedWorlds sharded(small_world(41));
+  const std::vector<dir::Fingerprint> nodes = sharded.nodes();
 
   RttMatrix full;
-  {
-    ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-    scanner.scan(nodes, full, sharded(2, 7));
-  }
+  sharded.scan(2, full, deterministic(7));
 
   const ParallelScanner::PairList subset = {{0, 1}, {2, 5}, {6, 7}, {3, 4}};
   RttMatrix m;
-  ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-  const ScanReport r = scanner.scan_pairs(nodes, subset, m, sharded(2, 7));
+  const ScanReport r = sharded.scan_pairs(2, subset, m, deterministic(7));
   EXPECT_EQ(r.pairs_total, subset.size());
   EXPECT_EQ(r.measured, subset.size());
   EXPECT_EQ(r.failed, 0u);
@@ -236,14 +258,22 @@ TEST(ShardedScanTest, ScanPairsSubsetMatchesFullScanEntries) {
 }
 
 TEST(ShardedScanTest, ShardExceptionIsRethrownAfterJoin) {
-  ShardedScanner scanner([](std::size_t shard) -> std::unique_ptr<ShardWorld> {
-    if (shard == 1) throw std::runtime_error("world build failed");
-    return std::make_unique<scenario::TestbedShardWorld>(small_world(41));
-  });
-  const std::vector<dir::Fingerprint> nodes =
-      scenario::shard_scan_nodes(small_world(41));
+  // World 1's reseed hook throws on its first pair; world 0 scans its
+  // slice to completion on its own thread, and the failure surfaces only
+  // once both workers have joined.
+  const scenario::ShardWorldOptions wo = small_world(41);
+  const scenario::TopologyPtr topology = scenario::shard_topology(wo);
+  const auto worlds = scenario::make_shard_worlds(wo, topology, 2);
+  std::vector<ScanWorld> scan_worlds = scenario::scan_worlds(worlds);
+  scan_worlds[1].reseed = [](std::uint64_t) {
+    throw std::runtime_error("world reseed failed");
+  };
   RttMatrix m;
-  EXPECT_THROW(scanner.scan(nodes, m, sharded(2, 7)), std::runtime_error);
+  ParallelScanner scanner(scan_worlds, m);
+  EXPECT_THROW(scanner.scan(scenario::shard_scan_nodes(wo, topology),
+                            deterministic(7)),
+               std::runtime_error);
+  EXPECT_EQ(m.size(), 0u);  // nothing merges from a failed scan
 }
 
 }  // namespace

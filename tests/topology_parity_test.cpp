@@ -1,19 +1,22 @@
-// Parity between the shared-immutable-topology worlds and the legacy
-// clone-per-shard worlds: for the same seed and shard count the two
-// construction paths must be indistinguishable in every scan artifact —
-// merged matrix CSV, merged half-circuit cache CSV, and the daemon's
-// on-disk matrix — including with a fault plan active. This pins the
-// tentpole refactor's contract: sharing the topology is a pure setup-cost
-// optimization, never a behavioural change.
+// Parity between worlds sharing one immutable topology and worlds that each
+// derive a private topology from the same seed (the historical
+// clone-per-shard construction, built here by hand as the reference): for
+// the same seed and world count the two must be indistinguishable in every
+// scan artifact — merged matrix CSV and merged half-circuit cache CSV —
+// including with a fault plan active. Sharing the topology is a pure
+// setup-cost optimization, never a behavioural change. The daemon case
+// pins the persistent-world path the same way: its on-disk store under a
+// fault plan is the same at W=4 as at W=1.
 //
-// Note this is parity at the SAME shard count W. Bit-identity ACROSS W
-// (sharded_scan_test) holds only without faults, because fault windows fire
-// at per-shard virtual times; shared-vs-legacy parity has no such caveat —
-// both paths build worlds with identical streams, so they agree even when
-// faults are active.
+// Note the scan case is parity at the SAME world count W. Bit-identity
+// ACROSS W (sharded_scan_test) holds only without faults, because fault
+// windows fire at per-world virtual times; shared-vs-private parity has no
+// such caveat — both build worlds with identical streams, so they agree
+// even when faults are active.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -22,7 +25,6 @@
 #include "ting/daemon.h"
 #include "ting/half_circuit_cache.h"
 #include "ting/scheduler.h"
-#include "ting/sharded_scan.h"
 
 namespace ting::meas {
 namespace {
@@ -35,7 +37,7 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-scenario::ShardWorldOptions faulted_scan_world(bool share_topology) {
+scenario::ShardWorldOptions faulted_scan_world() {
   scenario::ShardWorldOptions o;
   o.relays = 10;
   o.scan_nodes = 8;
@@ -43,7 +45,6 @@ scenario::ShardWorldOptions faulted_scan_world(bool share_topology) {
   o.testbed.differential_fraction = 0;
   o.ting.samples = 10;
   o.fault_spec = "loss:*:0.03";
-  o.share_topology = share_topology;
   return o;
 }
 
@@ -53,19 +54,28 @@ struct ScanArtifacts {
   ScanReport report;
 };
 
-ScanArtifacts run_sharded_scan(bool share_topology, std::size_t shards) {
-  const scenario::ShardWorldOptions wo = faulted_scan_world(share_topology);
-  const std::vector<dir::Fingerprint> nodes = scenario::shard_scan_nodes(wo);
+ScanArtifacts run_sharded_scan(bool shared, std::size_t shards) {
+  const scenario::ShardWorldOptions wo = faulted_scan_world();
+  const scenario::TopologyPtr topology = scenario::shard_topology(wo);
+  std::vector<std::unique_ptr<scenario::TestbedShardWorld>> worlds;
+  if (shared) {
+    worlds = scenario::make_shard_worlds(wo, topology, shards);
+  } else {
+    // Reference: every world re-derives the full topology from the seed.
+    for (std::size_t s = 0; s < shards; ++s)
+      worlds.push_back(std::make_unique<scenario::TestbedShardWorld>(
+          wo, scenario::shard_topology(wo)));
+  }
   RttMatrix m;
   HalfCircuitCache halves;
-  ShardedScanner scanner(scenario::make_testbed_shard_factory(wo));
-  ShardedScanOptions so;
-  so.shards = shards;
+  ParallelScanner scanner(scenario::scan_worlds(worlds), m);
+  ScanOptions so;
+  so.deterministic = true;
   so.pair_seed = 7;
   so.half_cache = &halves;
   so.attempts_per_pair = 6;  // ride out the 3% loss plan
   ScanArtifacts a;
-  a.report = scanner.scan(nodes, m, so);
+  a.report = scanner.scan(scenario::shard_scan_nodes(wo, topology), so);
   a.matrix_csv = m.to_csv();
   a.halves_csv = halves.to_csv();
   return a;
@@ -86,8 +96,7 @@ TEST(TopologyParityTest, ShardedScanMatchesLegacyClonesUnderFaults) {
   }
 }
 
-scenario::DaemonWorldOptions faulted_daemon_world(bool share_topology,
-                                                 std::size_t shards) {
+scenario::DaemonWorldOptions faulted_daemon_world(std::size_t shards) {
   scenario::DaemonWorldOptions o;
   o.relays = 10;
   o.testbed.seed = 52;
@@ -98,18 +107,16 @@ scenario::DaemonWorldOptions faulted_daemon_world(bool share_topology,
   o.churn.rejoin_rate = 0.5;
   o.fault_spec = "loss:*:0.02";
   o.shards = shards;
-  o.share_topology = share_topology;
   return o;
 }
 
 TEST(TopologyParityTest, DaemonDeltaEpochMatchesLegacyClones) {
   // Two epochs: epoch 0 measures the full mesh, epoch 1 only the churn
   // delta — the persistent worlds carry half-warm state across the
-  // boundary, which is exactly where a construction-path divergence would
-  // surface.
-  const auto run = [](bool share_topology, const std::string& out) {
-    scenario::TestbedDaemonEnvironment env(faulted_daemon_world(
-        share_topology, /*shards=*/4));
+  // boundary, which is exactly where a divergence between four shared-
+  // topology worlds and the single-world reference would surface.
+  const auto run = [](std::size_t shards, const std::string& out) {
+    scenario::TestbedDaemonEnvironment env(faulted_daemon_world(shards));
     DaemonOptions d;
     d.epochs = 2;
     d.out = out;
@@ -120,26 +127,30 @@ TEST(TopologyParityTest, DaemonDeltaEpochMatchesLegacyClones) {
   };
   const std::string shared_out =
       ::testing::TempDir() + "/parity_shared.tingmx";
-  const std::string legacy_out =
-      ::testing::TempDir() + "/parity_legacy.tingmx";
-  const DaemonReport shared = run(true, shared_out);
-  const DaemonReport legacy = run(false, legacy_out);
+  const std::string single_out =
+      ::testing::TempDir() + "/parity_single.tingmx";
+  const DaemonReport shared = run(4, shared_out);
+  const DaemonReport single = run(1, single_out);
 
   ASSERT_EQ(shared.epochs.size(), 2u);
-  ASSERT_EQ(legacy.epochs.size(), 2u);
+  ASSERT_EQ(single.epochs.size(), 2u);
   for (std::size_t e = 0; e < 2; ++e) {
     EXPECT_EQ(shared.epochs[e].scan.pairs_total,
-              legacy.epochs[e].scan.pairs_total) << "epoch " << e;
+              single.epochs[e].scan.pairs_total) << "epoch " << e;
     EXPECT_EQ(shared.epochs[e].scan.measured,
-              legacy.epochs[e].scan.measured) << "epoch " << e;
-    EXPECT_EQ(shared.epochs[e].scan.reseeds,
-              legacy.epochs[e].scan.reseeds) << "epoch " << e;
+              single.epochs[e].scan.measured) << "epoch " << e;
+    // Same per-pair replay; each of the four worlds warms a private
+    // half-cache copy, so it can only add half-probe reseeds.
+    EXPECT_GE(shared.epochs[e].scan.reseeds,
+              single.epochs[e].scan.reseeds) << "epoch " << e;
   }
   // Epoch 1 really was a delta, not a rescan.
   EXPECT_LT(shared.epochs[1].scan.pairs_total,
             shared.epochs[0].scan.pairs_total);
-  // The artifact both runs leave on disk is byte-identical.
-  EXPECT_EQ(read_file(shared_out), read_file(legacy_out));
+  // The artifacts both runs leave on disk are byte-identical.
+  EXPECT_EQ(read_file(shared_out), read_file(single_out));
+  EXPECT_EQ(read_file(ScanDaemon::halves_path(shared_out)),
+            read_file(ScanDaemon::halves_path(single_out)));
 }
 
 }  // namespace

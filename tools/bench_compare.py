@@ -22,11 +22,10 @@ Two subcommands, both stdlib-only:
   gate-construct FRESH.json [--min-speedup 5.0]
       Gate over the world-construction leg: fail unless instantiating the
       shard worlds over a shared immutable topology was at least
-      --min-speedup cheaper than the legacy clone-per-shard path. Both
-      sides measure what workers pay inside the factory call (the
-      ScanReport.world_construct_ms quantity); the topology's one-time
-      build on the coordinating thread is reported separately, since the
-      scan needs it regardless to derive the node list. The leg runs at a
+      --min-speedup cheaper than the legacy clone-per-shard baseline. Both
+      sides measure building the worlds a scan hands to the engine; the
+      topology's one-time build is reported separately, since the scan
+      needs it regardless to derive the node list. The leg runs at a
       fixed 100 relays x 4 shards (not scaled by TING_BENCH_SCALE), so the
       ratio is stable across hosts: it measures work eliminated (per-shard
       keygen, geography, base-RTT table), not host speed.

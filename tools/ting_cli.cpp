@@ -12,6 +12,7 @@
 //
 // Matrices written by `scan` feed `tiv`, `deanon`, and `coords`.
 #include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
@@ -31,14 +32,12 @@
 #include "analysis/tiv.h"
 #include "scenario/daemon_world.h"
 #include "serve/path_server.h"
-#include "scenario/faults.h"
 #include "scenario/scenario_file.h"
 #include "scenario/scenario_library.h"
 #include "scenario/shard_world.h"
 #include "scenario/synthetic_env.h"
 #include "scenario/testbed.h"
 #include "scenario/timeline.h"
-#include "simnet/fault_plan.h"
 #include "ting/daemon.h"
 #include "ting/half_circuit_cache.h"
 #include "ting/measurer.h"
@@ -293,22 +292,37 @@ int cmd_scan(const Args& args) {
   meas::HalfCircuitCache* half_cache_ptr =
       use_half_cache ? &half_cache : nullptr;
 
-  const auto progress = [](std::size_t done, std::size_t total,
-                           const meas::PairResult& r) {
-    std::fprintf(stderr, "\r[%zu/%zu] last=%.1fms   ", done, total, r.rtt_ms);
-  };
-  meas::RttMatrix matrix;
-  meas::ScanReport report;
+  // W worker worlds over one shared immutable topology, each with K
+  // measurers. With --parallel 1 (the default) pairs are measured
+  // deterministically, so the matrix is bit-identical for any --shards W;
+  // with K > 1 each world's pool runs concurrently.
+  scenario::ShardWorldOptions swo;
+  swo.relays = relays;
+  swo.scan_nodes = nodes;
+  swo.testbed = options;
+  swo.ting = cfg;
+  swo.pool = static_cast<std::size_t>(parallel);
+  swo.fault_spec = faults;
+  const auto construct_start = std::chrono::steady_clock::now();
+  const scenario::TopologyPtr topology = scenario::shard_topology(swo);
+  const std::vector<dir::Fingerprint> subset =
+      scenario::shard_scan_nodes(swo, topology);
+  const auto worlds = scenario::make_shard_worlds(
+      swo, topology, static_cast<std::size_t>(shards));
+  const double construct_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - construct_start)
+          .count();
 
-  // The journal needs the scan-node count (a cheap same-scan check on
-  // resume), so it opens inside each engine branch once the subset is known.
+  // The journal records the scan-node count, a cheap same-scan check on
+  // resume.
+  meas::RttMatrix matrix;
   const std::string journal_path = out + ".journal";
   std::unique_ptr<meas::ScanJournal> journal;
-  const auto open_journal = [&](std::size_t node_count) {
-    if (!use_journal) return;
+  if (use_journal) {
     meas::ScanJournal::Meta meta;
     meta.pair_seed = options.seed;
-    meta.nodes = node_count;
+    meta.nodes = subset.size();
     journal = std::make_unique<meas::ScanJournal>(
         journal_path,
         resume ? meas::ScanJournal::Mode::kResume
@@ -335,91 +349,27 @@ int cmd_scan(const Args& args) {
             journal->record_half(meas::ScanJournal::HalfRecord{
                 host_w, relay, e.rtt_ms, e.measured_at, e.samples});
           });
-  };
+  }
 
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);
 
-  if (args.kv.contains("shards")) {
-    // Sharded engine: W worker threads sharing one immutable topology, each
-    // owning only the mutable world half. With --parallel 1 (the default)
-    // pairs are measured deterministically — the merged matrix is
-    // bit-identical for any W. --no-share-topology restores the historical
-    // full-clone-per-shard behaviour (same output, slower setup).
-    scenario::ShardWorldOptions swo;
-    swo.relays = relays;
-    swo.scan_nodes = nodes;
-    swo.testbed = options;
-    swo.ting = cfg;
-    swo.pool = static_cast<std::size_t>(parallel);
-    swo.fault_spec = faults;
-    swo.share_topology = args.flag("share-topology", true);
-    // One topology build serves the node list and (when sharing) every
-    // shard world.
-    const scenario::TopologyPtr topology = scenario::shard_topology(swo);
-    const std::vector<dir::Fingerprint> subset =
-        scenario::shard_scan_nodes(swo, topology);
-    open_journal(subset.size());
-    meas::ShardedScanner scanner(
-        swo.share_topology
-            ? scenario::make_testbed_shard_factory(swo, topology)
-            : scenario::make_testbed_shard_factory(swo));
-    meas::ShardedScanOptions scan_options;
-    scan_options.per_relay_cap = cap;
-    scan_options.pair_seed = options.seed;
-    scan_options.shards = static_cast<std::size_t>(shards);
-    scan_options.deterministic = parallel == 1;
-    scan_options.half_cache = half_cache_ptr;
-    scan_options.pipeline_builds = pipeline;
-    scan_options.journal = journal.get();
-    scan_options.stop = &g_stop;
-    scan_options.quarantine = quarantine;
-    report = scanner.scan(subset, matrix, scan_options, progress);
-  } else {
-    scenario::Testbed world = scenario::live_tor(relays, options);
-    std::vector<dir::Fingerprint> subset;
-    for (std::size_t i = 0; i < std::min(nodes, world.relay_count()); ++i)
-      subset.push_back(world.fp(i));
-    open_journal(subset.size());
-
-    simnet::FaultPlan plan(world.net());
-    if (!faults.empty()) {
-      const auto spec = scenario::FaultSpec::parse(faults);
-      scenario::apply_fault_spec(spec, world, subset, plan, options.seed);
-    }
-
-    meas::ScanOptions common;
-    common.half_cache = half_cache_ptr;
-    common.pipeline_builds = pipeline;
-    common.journal = journal.get();
-    common.stop = &g_stop;
-    common.quarantine = quarantine;
-    if (!faults.empty()) {
-      common.live_consensus = &world.consensus();
-      common.fault_plan = &plan;
-    }
-    if (parallel == 1) {
-      meas::TingMeasurer measurer(world.ting(), cfg);
-      meas::AllPairsScanner scanner(measurer, matrix);
-      report = scanner.scan(subset, common, progress);
-    } else {
-      // One measurement host per in-flight pair, all driving the same
-      // simulated world; the admission policy caps circuits per target
-      // relay.
-      std::vector<std::unique_ptr<meas::TingMeasurer>> measurers;
-      std::vector<meas::TingMeasurer*> pool;
-      for (meas::MeasurementHost* host :
-           world.measurement_pool(static_cast<std::size_t>(parallel))) {
-        measurers.push_back(std::make_unique<meas::TingMeasurer>(*host, cfg));
-        pool.push_back(measurers.back().get());
-      }
-      meas::ParallelScanner scanner(pool, matrix);
-      meas::ParallelScanOptions scan_options;
-      static_cast<meas::ScanOptions&>(scan_options) = common;
-      scan_options.per_relay_cap = cap;
-      report = scanner.scan(subset, scan_options, progress);
-    }
-  }
+  meas::ParallelScanner scanner(scenario::scan_worlds(worlds), matrix);
+  meas::ScanOptions scan_options;
+  scan_options.per_relay_cap = cap;
+  scan_options.deterministic = parallel == 1;
+  scan_options.pair_seed = options.seed;
+  scan_options.half_cache = half_cache_ptr;
+  scan_options.pipeline_builds = pipeline;
+  scan_options.journal = journal.get();
+  scan_options.stop = &g_stop;
+  scan_options.quarantine = quarantine;
+  const meas::ScanReport report = scanner.scan(
+      subset, scan_options,
+      [](std::size_t done, std::size_t total, const meas::PairResult& r) {
+        std::fprintf(stderr, "\r[%zu/%zu] last=%.1fms   ", done, total,
+                     r.rtt_ms);
+      });
   std::fprintf(stderr, "\n");
   matrix.save_csv(out);
   if (use_half_cache) half_cache.save_csv(halves_path);
@@ -448,9 +398,8 @@ int cmd_scan(const Args& args) {
               report.max_per_relay_in_flight, cap,
               report.time_building.sec() / 3600.0,
               report.time_sampling.sec() / 3600.0);
-  std::printf("setup: world construction %.1f ms across shards, "
-              "%zu world reseeds\n",
-              report.world_construct_ms, report.reseeds);
+  std::printf("setup: %d world(s) built in %.1f ms, %zu world reseeds\n",
+              shards, construct_ms, report.reseeds);
   std::printf("optimizations: %zu circuits built, %zu half-cache hits, "
               "%zu samples saved%s\n",
               report.circuits_built, report.half_cache_hits,
@@ -516,7 +465,6 @@ int cmd_daemon(const Args& args) {
   const auto epochs = static_cast<std::size_t>(args.num("epochs", 6));
   const auto budget = static_cast<std::size_t>(args.num("budget", 0));
   const auto shards = static_cast<std::size_t>(args.num("shards", 1));
-  const auto pool = static_cast<std::size_t>(args.num("pool", 1));
   const int samples = static_cast<int>(args.num("samples", 50));
   const double epoch_hours = args.real("epoch-hours", 1.0);
   const double ttl_hours = args.real("ttl-hours", 7 * 24.0);
@@ -535,8 +483,8 @@ int cmd_daemon(const Args& args) {
   const bool adaptive = args.flag("adaptive-samples", true);
   const bool use_journal = args.flag("journal", true);
   const bool incremental = args.flag("incremental", true);
-  if (relays < 2 || epochs < 1 || shards < 1 || pool < 1 ||
-      epoch_hours <= 0 || ttl_hours <= 0) {
+  if (relays < 2 || epochs < 1 || shards < 1 || epoch_hours <= 0 ||
+      ttl_hours <= 0) {
     std::fprintf(stderr, "daemon: bad sizing flags\n");
     return 2;
   }
@@ -580,12 +528,9 @@ int cmd_daemon(const Args& args) {
     dwo.churn.initially_absent = absent;
     dwo.fault_spec = faults;
     dwo.shards = shards;
-    dwo.pool = pool;
-    dwo.share_topology = args.flag("share-topology", true);
     auto tenv = std::make_unique<scenario::TestbedDaemonEnvironment>(dwo);
-    std::printf("daemon: %zu persistent shard world(s) built in %.1f ms%s\n",
-                shards, tenv->world_construct_ms(),
-                dwo.share_topology ? " (shared topology)" : "");
+    std::printf("daemon: %zu persistent shard world(s) built in %.1f ms\n",
+                shards, tenv->world_construct_ms());
     env = std::move(tenv);
     // Identify the world this store belongs to, so --resume against the
     // wrong testbed or measurement config fails loudly instead of
@@ -1125,13 +1070,16 @@ void usage() {
       "                                                  --parallel K --cap per-relay-circuits\n"
       "                                                  --shards W --faults SPEC\n"
       "                                                  --scenario name|file)\n"
-      "  (--shards W fans the pair list across W threads, each with its own\n"
-      "   world clone; with --parallel 1 output is bit-identical for any W)\n"
+      "  (--shards W [1] fans the pair list across W threads, each with its own\n"
+      "   world of --parallel K [1] measurement hosts. K = 1 measures pairs\n"
+      "   deterministically, so the output does not depend on W; K > 1 keeps\n"
+      "   K pairs in flight per world, stable only for a fixed (W, K))\n"
       "  (scan optimizations, on by default: --half-cache memoizes R_Cx per\n"
       "   relay and persists it at <out>.halves.csv, --adaptive-samples stops\n"
       "   sampling once the running minimum plateaus, --pipeline prebuilds the\n"
-      "   next pair's circuit while the current one samples; disable with\n"
-      "   --no-half-cache / --no-adaptive-samples / --no-pipeline)\n"
+      "   next pair's circuit while the current one samples [--parallel K > 1\n"
+      "   only]; disable with --no-half-cache / --no-adaptive-samples /\n"
+      "   --no-pipeline)\n"
       "  (crash safety, on by default: every resolved pair is fsync'd to\n"
       "   <out>.journal and the artifacts are checkpointed atomically every\n"
       "   --checkpoint-every pairs [25]; after a crash or SIGINT/SIGTERM,\n"
@@ -1158,7 +1106,7 @@ void usage() {
       "                                                  validate <name|path>)\n"
       "  daemon    continuous scan service              (--relays --epochs --budget --ttl-hours\n"
       "                                                  --epoch-hours --churn --rejoin --absent\n"
-      "                                                  --coverage --samples --shards --pool\n"
+      "                                                  --coverage --samples --shards\n"
       "                                                  --faults --seed --out --csv --resume\n"
       "                                                  --synthetic [N] --noise --fail-rate\n"
       "                                                  --scenario name|file)\n"
