@@ -3,8 +3,8 @@
 //
 // A testbed consensus churns 5% per epoch while the daemon chases it with
 // delta worklists. Prints the per-epoch series (churn, planned pairs,
-// wall clock, coverage), the delta-vs-full work ratio, and the sparse-
-// matrix lookup/merge microcosts; writes BENCH_daemon.json for CI to
+// wall clock, coverage), the delta-vs-full work ratio, and the matrix
+// store's lookup/merge microcosts; writes BENCH_daemon.json for CI to
 // archive alongside BENCH_scan.json.
 #include <sys/resource.h>
 
@@ -18,7 +18,7 @@
 #include "scenario/synthetic_env.h"
 #include "ting/daemon.h"
 #include "ting/delta_scan.h"
-#include "ting/sparse_matrix.h"
+#include "ting/rtt_matrix.h"
 #include "util/rng.h"
 
 namespace {
@@ -106,7 +106,7 @@ int main() {
               "(x%.3f of the initial work)\n",
               mean_delta_pairs, first_epoch_pairs, delta_work_ratio);
 
-  // ---- sparse matrix microcosts --------------------------------------------
+  // ---- matrix store microcosts ---------------------------------------------
   // Lookup + merge throughput on a daemon-scale pair set (the operations
   // the planner does once per pair per epoch).
   double lookup_ns = 0, merge_ms = 0;
@@ -121,7 +121,7 @@ int main() {
                     static_cast<std::size_t>(rng.next_u64()));
       fps.push_back(dir::Fingerprint::from_hex(hex));
     }
-    meas::SparseRttMatrix m;
+    meas::RttMatrix m;
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i + 1; j < n; ++j)
         m.set(fps[i], fps[j], 1.0 + static_cast<double>(i + j),
@@ -138,7 +138,7 @@ int main() {
                     .count() /
                 static_cast<double>(hits);
 
-    meas::SparseRttMatrix other;
+    meas::RttMatrix other;
     for (std::size_t i = 0; i < n; ++i)
       other.set(fps[i], fps[(i + 1) % n], 2.0,
                 TimePoint::from_ns(static_cast<std::int64_t>(i + 1)), 1);
@@ -155,7 +155,7 @@ int main() {
   // ---- paper-scale leg -----------------------------------------------------
   // The full-consensus regime (§5.3: ~6,000 relays, ~18M pairs) against the
   // synthetic environment: (1) two budgeted daemon epochs end to end,
-  // (2) a full-mesh SparseRttMatrix fill profiling memory_bytes at 18M
+  // (2) a full-mesh RttMatrix fill profiling memory_bytes at 18M
   // entries, (3) plan_delta vs the primed incremental planner on identical
   // state — the speedup and plan-equality numbers gate-scale enforces.
   const std::size_t sr = scale_relays();
@@ -212,7 +212,7 @@ int main() {
     feed.advance(0);
     const std::vector<dir::Fingerprint> nodes0 = feed.members();
     const TimePoint t1 = TimePoint::from_ns(1000);
-    meas::SparseRttMatrix full;
+    meas::RttMatrix full;
     full.reserve_pairs(nodes0.size() * (nodes0.size() - 1) / 2);
     const auto t_fill = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < nodes0.size(); ++i)

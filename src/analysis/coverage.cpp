@@ -102,10 +102,4 @@ CoverageStats coverage_stats(const dir::Consensus& consensus) {
   return stats;
 }
 
-meas::SparseRttMatrix::CoverageCount pair_coverage(
-    const meas::SparseRttMatrix& matrix,
-    const std::vector<dir::Fingerprint>& nodes, TimePoint now, Duration ttl) {
-  return matrix.coverage(nodes, now, ttl);
-}
-
 }  // namespace ting::analysis

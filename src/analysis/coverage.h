@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dir/consensus.h"
-#include "ting/sparse_matrix.h"
 
 namespace ting::analysis {
 
@@ -39,13 +38,5 @@ struct CoverageStats {
 };
 
 CoverageStats coverage_stats(const dir::Consensus& consensus);
-
-/// Pair-coverage census for a continuous scan: what fraction of the current
-/// consensus's unordered pairs does `matrix` hold fresh (within `ttl` of
-/// `now`)? The daemon's convergence criterion and the analysis-side view of
-/// a daemon store's health.
-meas::SparseRttMatrix::CoverageCount pair_coverage(
-    const meas::SparseRttMatrix& matrix,
-    const std::vector<dir::Fingerprint>& nodes, TimePoint now, Duration ttl);
 
 }  // namespace ting::analysis

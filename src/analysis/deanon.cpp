@@ -84,6 +84,8 @@ struct Episode {
   std::set<std::size_t> positives;          ///< probed, on the circuit
   std::set<std::size_t> negatives;          ///< probed, not on the circuit
   std::set<std::size_t> alive;              ///< still possibly on the circuit
+  /// µ of Algorithm 1, computed once: score() runs per candidate per probe.
+  double mu = 0;
 
   Episode(const DeanonWorld& w, const AttackerView& v, bool constraints)
       : world(w), view(v), use_constraints(constraints) {
@@ -158,7 +160,6 @@ struct Episode {
   /// Algorithm 1's score for candidate i (smaller = probe sooner).
   double score(std::size_t i) const {
     double best = std::numeric_limits<double>::infinity();
-    const double mu = world.mean_rtt();
     for (std::size_t other : alive) {
       if (other == i) continue;
       for (const auto& [e, m] : {std::pair<std::size_t, std::size_t>{i, other},
@@ -191,6 +192,7 @@ DeanonResult deanonymize_with_probe(const DeanonWorld& world,
   const bool constraints = strategy == Strategy::kIgnoreTooLarge ||
                            strategy == Strategy::kInformed;
   Episode ep(world, view, constraints);
+  if (strategy == Strategy::kInformed) ep.mu = world.mean_rtt();
 
   DeanonResult result;
   result.candidates = ep.candidates.size();

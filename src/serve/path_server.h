@@ -34,7 +34,6 @@
 #include "serve/detour_index.h"
 #include "serve/snapshot.h"
 #include "ting/rtt_matrix.h"
-#include "ting/sparse_matrix.h"
 #include "util/time.h"
 
 namespace ting::serve {
@@ -98,11 +97,10 @@ class PathServer {
   /// of rebuilt. Pass empty to force a full rebuild.
   void publish(MatrixSnapshot snapshot,
                const std::vector<dir::Fingerprint>& changed = {});
-  void publish(const meas::SparseRttMatrix& matrix, std::uint64_t epoch = 0,
+  /// Snapshot `matrix` (in the storage ServeOptions selects) and publish it.
+  void publish(const meas::RttMatrix& matrix, std::uint64_t epoch = 0,
                TimePoint stamp = {},
                const std::vector<dir::Fingerprint>& changed = {});
-  void publish(const meas::RttMatrix& matrix, std::uint64_t epoch = 0,
-               TimePoint stamp = {});
 
   // ---- reader side (all lock-free: one atomic load, then plain reads) ------
 

@@ -5,7 +5,7 @@
 namespace ting::serve {
 
 void MatrixSnapshot::index_nodes(std::vector<dir::Fingerprint> nodes) {
-  nodes_ = std::move(nodes);  // both matrix types return sorted node lists
+  nodes_ = std::move(nodes);  // RttMatrix::nodes() is sorted
   index_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     index_.emplace(nodes_[i], static_cast<std::uint32_t>(i));
@@ -47,26 +47,11 @@ MatrixSnapshot MatrixSnapshot::build(const meas::RttMatrix& matrix,
   return s;
 }
 
-MatrixSnapshot MatrixSnapshot::build(const meas::SparseRttMatrix& matrix,
-                                     std::uint64_t epoch, TimePoint stamp,
-                                     SnapshotStorage storage) {
-  MatrixSnapshot s;
-  s.epoch_ = epoch;
-  s.stamp_ = stamp;
-  s.storage_ = storage;
-  s.index_nodes(matrix.nodes());
-  for (std::size_t i = 0; i < s.nodes_.size(); ++i)
-    for (std::size_t j = i + 1; j < s.nodes_.size(); ++j)
-      if (const auto r = matrix.rtt(s.nodes_[i], s.nodes_[j]); r.has_value())
-        s.set_pair(i, j, *r);
-  return s;
-}
-
 std::size_t MatrixSnapshot::memory_bytes() const {
   std::size_t bytes = rtt_.capacity() * sizeof(double) +
                       rtt32_.capacity() * sizeof(float) +
                       nodes_.capacity() * sizeof(dir::Fingerprint);
-  // Hash-map estimate mirrors SparseRttMatrix::memory_bytes: per-node
+  // Hash-map estimate mirrors RttMatrix::memory_bytes: per-node
   // payload + two list pointers, plus the bucket array.
   bytes += index_.size() *
            (sizeof(std::pair<const dir::Fingerprint, std::uint32_t>) +

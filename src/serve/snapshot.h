@@ -2,17 +2,16 @@
 // matrix, built for the serving layer (§5's applications: low-RTT circuit
 // selection, TIV detours) rather than for measurement bookkeeping.
 //
-// The measurement stores (RttMatrix's ordered map, SparseRttMatrix's hash
-// map) are write-side structures: node-keyed, mutable, and growing while a
-// scan runs. A query path serving "millions of clients picking circuits"
-// wants the opposite: a dense fingerprint→index table fixed at build time
-// plus a flat n×n RTT array, so every lookup is one hash probe (or none,
-// for index-based callers) and one array read — no tree walk, no pair-key
-// construction, no lock.
+// The measurement store (RttMatrix's hash map) is a write-side structure:
+// node-keyed, mutable, and growing while a scan runs. A query path serving
+// "millions of clients picking circuits" wants the opposite: a dense
+// fingerprint→index table fixed at build time plus a flat n×n RTT array, so
+// every lookup is one hash probe (or none, for index-based callers) and one
+// array read — no pair-key construction, no lock.
 //
-// Snapshots are built once (O(n²)) from either matrix type, then never
-// mutated; PathServer publishes them through an atomic shared_ptr swap so
-// readers always see a complete, internally consistent image. Missing pairs
+// Snapshots are built once (O(n²)) from the matrix, then never mutated;
+// PathServer publishes them through an atomic shared_ptr swap so readers
+// always see a complete, internally consistent image. Missing pairs
 // are quiet NaNs in the flat array — a partially-converged daemon store is
 // a first-class input, and every accessor reports absence instead of
 // aborting (the analysis layer's TING_CHECK-on-missing behaviour is
@@ -27,7 +26,6 @@
 
 #include "dir/fingerprint.h"
 #include "ting/rtt_matrix.h"
-#include "ting/sparse_matrix.h"
 #include "util/time.h"
 
 namespace ting::serve {
@@ -43,13 +41,10 @@ class MatrixSnapshot {
  public:
   MatrixSnapshot() = default;
 
-  /// Build from a finished scan's dense matrix or a daemon's sparse store.
-  /// `epoch`/`stamp` identify which checkpoint this image reflects (readers
-  /// use them to reason about staleness; see PROTOCOL.md).
+  /// Build from a finished scan's matrix or a daemon's store. `epoch`/
+  /// `stamp` identify which checkpoint this image reflects (readers use
+  /// them to reason about staleness; see PROTOCOL.md).
   static MatrixSnapshot build(const meas::RttMatrix& matrix,
-                              std::uint64_t epoch = 0, TimePoint stamp = {},
-                              SnapshotStorage storage = SnapshotStorage::kFloat64);
-  static MatrixSnapshot build(const meas::SparseRttMatrix& matrix,
                               std::uint64_t epoch = 0, TimePoint stamp = {},
                               SnapshotStorage storage = SnapshotStorage::kFloat64);
 

@@ -1,5 +1,5 @@
 // Little-endian fixed-width field codec shared by the binary persistence
-// formats (sparse RTT matrix, half-circuit cache checkpoint).
+// formats (RTT matrix, half-circuit cache checkpoint).
 //
 // Deliberately not ByteWriter/ByteReader from util/bytes.h: those are
 // big-endian to match Tor's wire formats, while the on-disk artifacts are

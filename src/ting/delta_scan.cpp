@@ -63,14 +63,14 @@ void emit_expired(DeltaPlan& plan, std::vector<ExpiredCandidate> expired,
 
 }  // namespace
 
-DeltaPlan plan_delta(const SparseRttMatrix& matrix,
+DeltaPlan plan_delta(const RttMatrix& matrix,
                      const std::vector<dir::Fingerprint>& nodes, TimePoint now,
                      const DeltaPlanOptions& options) {
   DeltaPlan plan;
   std::vector<ExpiredCandidate> expired;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      const SparseRttMatrix::Entry* e = matrix.entry(nodes[i], nodes[j]);
+      const RttMatrix::Entry* e = matrix.entry(nodes[i], nodes[j]);
       if (e == nullptr) {
         ++plan.new_pairs;
         if (options.budget == 0 || plan.pairs.size() < options.budget)
@@ -102,7 +102,7 @@ void IncrementalDeltaPlanner::reset() {
 }
 
 DeltaPlan IncrementalDeltaPlanner::plan_delta_incremental(
-    const SparseRttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
+    const RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
     const std::vector<dir::Fingerprint>& joined, TimePoint now,
     const DeltaPlanOptions& options) {
   constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
@@ -121,7 +121,7 @@ DeltaPlan IncrementalDeltaPlanner::plan_delta_incremental(
     // for the delta.
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        const SparseRttMatrix::Entry* e = matrix.entry(nodes[i], nodes[j]);
+        const RttMatrix::Entry* e = matrix.entry(nodes[i], nodes[j]);
         if (e == nullptr) {
           miss_idx.emplace_back(i, j);
         } else if (now - e->measured_at <= options.ttl) {
@@ -195,7 +195,7 @@ DeltaPlan IncrementalDeltaPlanner::plan_delta_incremental(
 
     // Expired pairs straight off the freshness wheel (O(expired), already
     // TTL-cut), filtered to current members and mapped to node indices.
-    for (const SparseRttMatrix::PairAge& pa :
+    for (const RttMatrix::PairAge& pa :
          matrix.expired_pairs(now, options.ttl)) {
       auto ita = index_of.find(pa.a);
       if (ita == index_of.end()) continue;

@@ -4,7 +4,7 @@
 // A continuous scan never re-runs all-pairs from scratch (DiProber's
 // continuous-estimation framing; at live-network scale a full rescan is
 // ~18M pairs). Instead each epoch plans a *delta* worklist against the
-// sparse matrix:
+// stored matrix:
 //
 //   - never-measured pairs (a relay joined the consensus, or a prior epoch
 //     failed/deferred the pair) go first — every missing pair costs
@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "dir/fingerprint.h"
+#include "ting/rtt_matrix.h"
 #include "ting/scheduler.h"
-#include "ting/sparse_matrix.h"
 #include "util/time.h"
 
 namespace ting::meas {
@@ -59,7 +59,7 @@ struct DeltaPlan {
 };
 
 /// Plan one epoch's delta worklist over the all-pairs set of `nodes`.
-DeltaPlan plan_delta(const SparseRttMatrix& matrix,
+DeltaPlan plan_delta(const RttMatrix& matrix,
                      const std::vector<dir::Fingerprint>& nodes, TimePoint now,
                      const DeltaPlanOptions& options = {});
 
@@ -101,7 +101,7 @@ bool expired_before(const ExpiredCandidate& l, const ExpiredCandidate& r);
 ///       (set/merge/absorb) — after erase_relay(), call reset().
 class IncrementalDeltaPlanner {
  public:
-  DeltaPlan plan_delta_incremental(const SparseRttMatrix& matrix,
+  DeltaPlan plan_delta_incremental(const RttMatrix& matrix,
                                    const std::vector<dir::Fingerprint>& nodes,
                                    const std::vector<dir::Fingerprint>& joined,
                                    TimePoint now,

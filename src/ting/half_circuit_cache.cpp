@@ -13,6 +13,13 @@
 
 namespace ting::meas {
 
+namespace {
+
+constexpr const char* kCsvHeader =
+    "host_fp,relay_fp,rtt_ms,measured_at_ns,samples";
+
+}  // namespace
+
 void HalfCircuitCache::store(const dir::Fingerprint& host_w,
                              const dir::Fingerprint& relay, double rtt_ms,
                              TimePoint measured_at, int samples) {
@@ -66,7 +73,7 @@ void HalfCircuitCache::merge_freshest(const HalfCircuitCache& other) {
 
 std::string HalfCircuitCache::to_csv() const {
   std::ostringstream os;
-  os << "host_fp,relay_fp,rtt_ms,measured_at_ns,samples\n";
+  os << kCsvHeader << "\n";
   for (const auto& [k, v] : entries_) {
     os << k.first.hex() << "," << k.second.hex() << "," << v.rtt_ms << ","
        << v.measured_at.ns() << "," << v.samples << "\n";
@@ -75,13 +82,14 @@ std::string HalfCircuitCache::to_csv() const {
 }
 
 HalfCircuitCache HalfCircuitCache::from_csv(const std::string& csv) {
+  const std::vector<std::string> lines = split(csv, '\n');
+  // A file without its header would otherwise lose its first entry.
+  TING_CHECK_MSG(lines.front() == kCsvHeader,
+                 "half-circuit cache CSV line 1 is not the header \""
+                     << kCsvHeader << "\": " << lines.front());
   HalfCircuitCache c;
-  bool first = true;
-  for (const std::string& line : split(csv, '\n')) {
-    if (first) {
-      first = false;
-      continue;  // header
-    }
+  for (std::size_t n = 1; n < lines.size(); ++n) {
+    const std::string& line = lines[n];
     if (trim(line).empty()) continue;
     const auto cols = split(line, ',');
     TING_CHECK_MSG(cols.size() == 5, "bad half-circuit cache row: " << line);
@@ -126,7 +134,7 @@ HalfCircuitCache HalfCircuitCache::load_csv(const std::string& path) {
 }
 
 std::string HalfCircuitCache::to_bin() const {
-  // Same fixed 60-byte record layout as the sparse matrix: (host_w, relay)
+  // Same fixed 60-byte record layout as the RTT matrix: (host_w, relay)
   // in place of the pair, then rtt bits / timestamp / samples. The ordered
   // map iterates in key order, so equal caches serialize to equal bytes.
   std::string out;

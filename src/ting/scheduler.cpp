@@ -1088,7 +1088,7 @@ ScanReport ParallelScanner::scan_pairs(
     try {
       // Private copies of the caller's matrix (so a resumed scan skips
       // completed pairs in every world) and half cache: threads never share
-      // them, and the freshest entries merge back after join.
+      // them, and the results are copied back after join.
       res.matrix = cache_;
       ScanOptions opt = options;
       if (options.half_cache != nullptr) {
@@ -1128,7 +1128,16 @@ ScanReport ParallelScanner::scan_pairs(
   merged.pairs_total = pairs.size();
   for (const WorldResult& r : results) merge_report(merged, r.report);
   sort_report_lists(merged);
-  for (const WorldResult& r : results) cache_.merge(r.matrix);
+  // Every world holds a copy of the whole caller matrix, so copy back only
+  // the pairs of its own slice: another world's untouched copy of a pair
+  // must not overwrite the fresh measurement.
+  for (std::size_t w = 0; w < count; ++w) {
+    for (const auto& [i, j] : slices[w]) {
+      const RttMatrix::Entry* e = results[w].matrix.entry(nodes[i], nodes[j]);
+      if (e != nullptr)
+        cache_.set(nodes[i], nodes[j], e->rtt_ms, e->measured_at, e->samples);
+    }
+  }
   if (options.half_cache != nullptr)
     for (const WorldResult& r : results)
       options.half_cache->merge_freshest(r.half_cache);

@@ -12,10 +12,11 @@
 // ParallelScanner drives W caller-owned worlds (ScanWorld). The pair list
 // is dealt round-robin across them, one worker thread per world when
 // W > 1; each worker measures its slice against private copies of the
-// caller's matrix and half-circuit cache, and the per-world reports and
-// copies are merged after the threads join. Threads never share mutable
-// state, so the engine is clean under TSan by construction. Inside each
-// world one of two drivers runs:
+// caller's matrix and half-circuit cache. After the threads join, the
+// per-world reports and half caches are merged, and each world's entries
+// for its own slice are copied back into the caller's matrix. Threads never
+// share mutable state, so the engine is clean under TSan by construction.
+// Inside each world one of two drivers runs:
 //
 //  - the pool (the default): the world's K measurers keep up to K pairs in
 //    flight on its event loop, under an admission policy that caps

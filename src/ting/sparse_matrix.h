@@ -1,207 +1,13 @@
-// SparseRttMatrix — the daemon-scale successor to the dense RttMatrix.
-//
-// A real consensus is ~6,000 relays (§5.3), i.e. ~18M unordered pairs; a
-// continuous scan daemon holds whatever subset it has measured so far, and
-// the pair set churns as relays join and leave. The dense std::map CSV
-// matrix is the right artifact for a finished 31-node testbed scan but the
-// wrong store for that regime: this class keeps hash-indexed pair records
-// (O(1) lookup, no dense allocation), persists to a compact fixed-record
-// binary format *and* the existing CSV schema (both via util/atomic_file),
-// and carries the TTL bookkeeping the delta planner needs — enumeration of
-// expired pairs, freshness counting over a node set, and relay erasure on
-// churn.
-//
-// Semantics match RttMatrix where they overlap (unordered canonical pair
-// keys, is_fresh against a max-age TTL, identical CSV schema) so scan
-// engines and analysis/* can consume either; load_matrix_any() sniffs a
-// file's format and hands analysis code a dense matrix no matter which one
-// a scan produced. The one deliberate difference: merge() is
-// freshest-wins with a total-order tiebreak, making it commutative —
-// daemon epochs and shard fragments can merge in any order and agree
-// bit-for-bit, where RttMatrix::merge is last-writer-wins.
+// Forwarding header: the daemon's store is meas::RttMatrix (ting/rtt_matrix.h).
+// The alias stays only because the pipeline benchmark under perfbench/
+// includes this header and names meas::SparseRttMatrix; nothing else may
+// use it.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <optional>
-#include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "dir/fingerprint.h"
 #include "ting/rtt_matrix.h"
-#include "util/time.h"
 
 namespace ting::meas {
 
-class SparseRttMatrix {
- public:
-  /// Same entry shape as the dense matrix, so conversions are lossless.
-  using Entry = RttMatrix::Entry;
-
-  /// Magic prefix of the binary format (8 bytes, no terminator on disk).
-  static constexpr char kBinMagic[] = "TINGSMX1";
-  /// Bytes per binary record: fp_a(20) fp_b(20) rtt_bits(8) at_ns(8)
-  /// samples(4), little-endian fixed-width fields.
-  static constexpr std::size_t kBinRecordSize = 60;
-
-  /// Record a measurement (unordered pair; overwrites unconditionally, like
-  /// RttMatrix::set — freshest-wins arbitration is merge()'s job).
-  void set(const dir::Fingerprint& a, const dir::Fingerprint& b, double rtt_ms,
-           TimePoint measured_at = {}, int samples = 0);
-
-  std::optional<double> rtt(const dir::Fingerprint& a,
-                            const dir::Fingerprint& b) const;
-  const Entry* entry(const dir::Fingerprint& a,
-                     const dir::Fingerprint& b) const;
-  bool contains(const dir::Fingerprint& a, const dir::Fingerprint& b) const;
-  /// A cached value is fresh if measured within `max_age` of `now`.
-  bool is_fresh(const dir::Fingerprint& a, const dir::Fingerprint& b,
-                TimePoint now, Duration max_age) const;
-
-  /// Keep the fresher of the two entries for every pair. The winner is
-  /// decided by a total order — (measured_at, rtt bit pattern, samples),
-  /// larger wins — so merge is commutative and associative: daemon epochs,
-  /// shard fragments, and replicated stores converge to the same matrix in
-  /// any merge order.
-  void merge(const SparseRttMatrix& other);
-
-  /// Fold one scan epoch's dense results in, restamping every entry to
-  /// `stamp`. The deterministic engine records zero timestamps (shard
-  /// worlds have unrelated virtual clocks); the daemon owns the epoch
-  /// clock, so it stamps results at absorption time and TTL decisions are
-  /// identical whether an epoch ran uninterrupted or resumed after a crash.
-  void absorb(const RttMatrix& results, TimePoint stamp);
-
-  /// Drop every pair touching `relay` (it left the consensus for good, or
-  /// its descriptor changed enough that old estimates are suspect).
-  /// Returns the number of pairs dropped.
-  std::size_t erase_relay(const dir::Fingerprint& relay);
-
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  /// Current entry-table load factor (capped at kMaxLoadFactor once
-  /// reserve_pairs has pinned the policy).
-  float load_factor() const { return entries_.load_factor(); }
-  /// All distinct relays appearing in the matrix, sorted.
-  std::vector<dir::Fingerprint> nodes() const;
-  /// All recorded RTT values, in canonical pair order.
-  std::vector<double> values() const;
-  /// Mean RTT over all pairs, summed in canonical order (deterministic).
-  double mean_rtt() const;
-
-  /// One stored pair with its age — what the delta planner prioritizes.
-  struct PairAge {
-    dir::Fingerprint a, b;  ///< canonical order (a < b)
-    TimePoint measured_at;
-  };
-  /// Every stored pair whose entry is older than `max_age` at `now`,
-  /// oldest first (ties broken by pair, so the order is deterministic).
-  /// Served from the freshness wheel: O(expired + stale index records), not
-  /// O(size) — the incremental delta planner calls this every epoch.
-  std::vector<PairAge> expired_pairs(TimePoint now, Duration max_age) const;
-
-  /// Freshness census over the all-pairs set of `nodes`.
-  struct CoverageCount {
-    std::size_t total = 0;    ///< unordered pairs of `nodes`
-    std::size_t fresh = 0;    ///< measured within `max_age` of `now`
-    std::size_t stale = 0;    ///< measured, but expired
-    std::size_t missing = 0;  ///< never measured
-    double coverage() const {
-      return total == 0 ? 1.0
-                        : static_cast<double>(fresh) / static_cast<double>(total);
-    }
-  };
-  CoverageCount coverage(const std::vector<dir::Fingerprint>& nodes,
-                         TimePoint now, Duration max_age) const;
-
-  /// Estimated heap footprint in bytes: hash-node payload + chaining
-  /// overhead per entry, the bucket pointer array, and the freshness wheel
-  /// (one Key per live-or-stale index record plus a tree node per distinct
-  /// stamp). An estimate — allocator rounding is not modeled — but it moves
-  /// with the store, which is what the daemon status lines and the 18M-entry
-  /// bench profile need.
-  std::size_t memory_bytes() const;
-
-  /// Bulk-load rehash policy: pin the load factor and size the bucket array
-  /// once up front instead of paying log2(n) incremental rehash storms while
-  /// millions of records stream in (from_bin and merge call this; callers
-  /// that fill via set() in a loop should too).
-  void reserve_pairs(std::size_t pairs);
-
-  /// Target load factor for the entry table. Below libstdc++'s default 1.0
-  /// to keep lookup chains short for the planner's per-epoch probes, but
-  /// high enough that the bucket array stays a minor term next to the
-  /// 18M-entry node storage.
-  static constexpr float kMaxLoadFactor = 0.9f;
-
-  // ---- interop with the dense matrix ---------------------------------------
-  RttMatrix to_rtt_matrix() const;
-  static SparseRttMatrix from_rtt_matrix(const RttMatrix& dense);
-
-  // ---- persistence ----------------------------------------------------------
-  /// CSV with the RttMatrix header "fp_a,fp_b,rtt_ms,measured_at_ns,samples"
-  /// (canonical pair order) — interchangeable with dense CSV artifacts.
-  /// Note CSV prints 6 significant digits; the binary format is the
-  /// exact-bits one.
-  std::string to_csv() const;
-  static SparseRttMatrix from_csv(const std::string& csv);
-  void save_csv(const std::string& path) const;
-  static SparseRttMatrix load_csv(const std::string& path);
-
-  /// Compact binary image: kBinMagic, u64 record count, then fixed 60-byte
-  /// records in canonical pair order. Doubles are IEEE-754 bit patterns, so
-  /// save/load round-trips exactly and equal matrices serialize to equal
-  /// bytes — the property the daemon's crash-resume check compares.
-  std::string to_bin() const;
-  static SparseRttMatrix from_bin(const std::string& bin);
-  void save_bin(const std::string& path) const;
-  static SparseRttMatrix load_bin(const std::string& path);
-
- private:
-  struct Key {
-    dir::Fingerprint a, b;  ///< canonical: a < b
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      const std::size_t ha = std::hash<dir::Fingerprint>{}(k.a);
-      const std::size_t hb = std::hash<dir::Fingerprint>{}(k.b);
-      return ha ^ (hb + 0x9e3779b97f4a7c15ULL + (ha << 6) + (ha >> 2));
-    }
-  };
-  static Key key(const dir::Fingerprint& a, const dir::Fingerprint& b);
-  /// True when `l` beats `r` under the merge total order.
-  static bool fresher(const Entry& l, const Entry& r);
-  /// Entries in canonical pair order — the deterministic iteration that
-  /// every serialization and aggregate goes through.
-  std::vector<std::pair<Key, Entry>> sorted_items() const;
-
-  /// Append an index record for `k` at stamp `at` to the freshness wheel.
-  void wheel_insert(const Key& k, TimePoint at);
-  /// Rebuild the wheel from entries_ once stale records outnumber live ones.
-  void wheel_maybe_compact();
-
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-
-  // Freshness wheel: measured_at (ns) -> pair keys recorded at that stamp,
-  // bucket order ascending so expired_pairs() walks oldest-first and stops
-  // at the TTL horizon. Maintained lazily: overwrites and erasures leave the
-  // old record in place (counted in wheel_garbage_) and enumeration skips
-  // records whose stamp no longer matches the live entry; a full rebuild
-  // triggers when garbage outgrows the live set, so amortized maintenance is
-  // O(1) per mutation and enumeration is O(expired + garbage), never
-  // O(size). The daemon stamps whole epochs with one clock value, so bucket
-  // counts stay tiny in practice.
-  std::map<std::int64_t, std::vector<Key>> wheel_;
-  std::size_t wheel_garbage_ = 0;
-};
-
-/// Load an RTT matrix of either format: sniffs the binary magic and falls
-/// back to CSV. The analysis consumers (tiv / deanon / coords) call this so
-/// daemon-produced sparse binaries and classic scan CSVs are
-/// interchangeable inputs.
-RttMatrix load_matrix_any(const std::string& path);
+using SparseRttMatrix = RttMatrix;
 
 }  // namespace ting::meas

@@ -10,7 +10,7 @@
 
 #include "scenario/daemon_world.h"
 #include "ting/daemon.h"
-#include "ting/sparse_matrix.h"
+#include "ting/rtt_matrix.h"
 #include "util/assert.h"
 
 namespace ting::meas {

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "ting/delta_scan.h"
-#include "ting/sparse_matrix.h"
+#include "ting/rtt_matrix.h"
 #include "util/rng.h"
 
 namespace ting::meas {
@@ -46,7 +46,7 @@ void expect_no_duplicates(const DeltaPlan& plan) {
 
 TEST(DeltaScanTest, EmptyMatrixPlansAllPairs) {
   const auto nodes = node_set(7);
-  const DeltaPlan plan = plan_delta(SparseRttMatrix{}, nodes, at(100));
+  const DeltaPlan plan = plan_delta(RttMatrix{}, nodes, at(100));
   EXPECT_EQ(plan.pairs.size(), all_pairs(7));
   EXPECT_EQ(plan.new_pairs, all_pairs(7));
   EXPECT_EQ(plan.expired_pairs, 0u);
@@ -57,7 +57,7 @@ TEST(DeltaScanTest, EmptyMatrixPlansAllPairs) {
 
 TEST(DeltaScanTest, FullyFreshMatrixPlansNothing) {
   const auto nodes = node_set(6);
-  SparseRttMatrix m;
+  RttMatrix m;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)
       m.set(nodes[i], nodes[j], 10.0, at(95), 1);
@@ -72,7 +72,7 @@ TEST(DeltaScanTest, ChurnYieldsExactlyNewAndExpiredPairs) {
   // Matrix covers nodes {0..4} freshly except: pair (1,2) is expired, and
   // node 5 just joined (all 5 of its pairs are new). Nothing else plans.
   const auto nodes = node_set(6);
-  SparseRttMatrix m;
+  RttMatrix m;
   for (std::size_t i = 0; i < 5; ++i)
     for (std::size_t j = i + 1; j < 5; ++j)
       m.set(nodes[i], nodes[j], 10.0, (i == 1 && j == 2) ? at(10) : at(95), 1);
@@ -92,7 +92,7 @@ TEST(DeltaScanTest, ChurnYieldsExactlyNewAndExpiredPairs) {
 
 TEST(DeltaScanTest, ExpiredPairsPlannedOldestFirst) {
   const auto nodes = node_set(4);
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(nodes[0], nodes[1], 1.0, at(30), 1);
   m.set(nodes[0], nodes[2], 1.0, at(10), 1);
   m.set(nodes[0], nodes[3], 1.0, at(20), 1);
@@ -112,7 +112,7 @@ TEST(DeltaScanTest, BudgetKeepsNewPairsOverExpired) {
   // 3 new pairs (node 3 joined a 4-node set) + 3 expired; budget 4 must
   // keep all 3 new pairs and only the single oldest expired pair.
   const auto nodes = node_set(4);
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(nodes[0], nodes[1], 1.0, at(30), 1);
   m.set(nodes[0], nodes[2], 1.0, at(10), 1);
   m.set(nodes[1], nodes[2], 1.0, at(20), 1);
@@ -136,7 +136,7 @@ TEST(DeltaScanTest, BudgetTruncatesNewPairs) {
   const auto nodes = node_set(6);
   DeltaPlanOptions opt;
   opt.budget = 4;
-  const DeltaPlan plan = plan_delta(SparseRttMatrix{}, nodes, at(1), opt);
+  const DeltaPlan plan = plan_delta(RttMatrix{}, nodes, at(1), opt);
   EXPECT_EQ(plan.pairs.size(), 4u);
   EXPECT_EQ(plan.new_pairs, all_pairs(6));  // census, not kept
   EXPECT_EQ(plan.dropped_over_budget, all_pairs(6) - 4);
@@ -147,7 +147,7 @@ TEST(DeltaScanTest, BudgetedExpiredSelectionMatchesFullSort) {
   // The bounded-heap cut must select exactly the same pairs, in the same
   // order, as sorting every expired candidate and taking the oldest K.
   const auto nodes = node_set(10);
-  SparseRttMatrix m;
+  RttMatrix m;
   std::int64_t t = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)
@@ -165,7 +165,7 @@ TEST(DeltaScanTest, BudgetedExpiredSelectionMatchesFullSort) {
 
 TEST(DeltaScanTest, PlanIsPureFunctionOfInputs) {
   const auto nodes = node_set(8);
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(nodes[2], nodes[5], 1.0, at(3), 1);
   DeltaPlanOptions opt;
   opt.ttl = Duration::seconds(50);
@@ -188,7 +188,7 @@ void expect_same_plan(const DeltaPlan& inc, const DeltaPlan& full,
 
 TEST(DeltaScanTest, IncrementalUnprimedMatchesFullCensus) {
   const auto nodes = node_set(8);
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(nodes[1], nodes[4], 1.0, at(5), 1);   // expired
   m.set(nodes[2], nodes[6], 1.0, at(95), 1);  // fresh
   DeltaPlanOptions opt;
@@ -219,7 +219,7 @@ TEST(DeltaScanTest, IncrementalMatchesFullAcrossChurnEpochs) {
   const std::size_t universe = 16;
   std::vector<bool> member(universe, false);
   for (std::size_t i = 0; i < 10; ++i) member[i] = true;
-  SparseRttMatrix m;
+  RttMatrix m;
   IncrementalDeltaPlanner planner;
   ConsensusDeltaTracker tracker;
   DeltaPlanOptions opt;
@@ -270,7 +270,7 @@ TEST(DeltaScanTest, EqualStampBudgetCutIsDeterministicPrefix) {
   // full-sort path and the bounded-heap path, and the incremental planner
   // agrees.
   const auto nodes = node_set(9);
-  SparseRttMatrix m;
+  RttMatrix m;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)
       m.set(nodes[i], nodes[j], 1.0, at(5), 1);
@@ -307,7 +307,7 @@ TEST(DeltaScanTest, IncrementalFreshPlannerRederivesCrashedEpoch) {
   // the worklist the crashed process was running — and re-planning the same
   // epoch twice (a stale journal replay) is idempotent.
   const auto nodes = node_set(10);
-  SparseRttMatrix m;
+  RttMatrix m;
   std::int64_t t = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
@@ -336,7 +336,7 @@ TEST(DeltaScanTest, IncrementalFreshPlannerRederivesCrashedEpoch) {
 
 TEST(DeltaScanTest, IncrementalResetRequiredAfterEraseRelay) {
   const auto nodes = node_set(6);
-  SparseRttMatrix m;
+  RttMatrix m;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)
       m.set(nodes[i], nodes[j], 1.0, at(95), 1);

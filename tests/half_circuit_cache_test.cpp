@@ -118,6 +118,14 @@ TEST(HalfCircuitCacheTest, MalformedCsvRowsAreRejected) {
   EXPECT_THROW(
       HalfCircuitCache::from_csv(header + a + "," + b + ",12.5,777,200junk\n"),
       CheckError);
+  // A headerless file must not load minus its first row.
+  try {
+    HalfCircuitCache::from_csv(a + "," + b + ",12.5,777,200\n" + b + "," + a +
+                               ",13.5,777,200\n");
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
+  }
 }
 
 // ---- measurer integration ---------------------------------------------------

@@ -1,7 +1,8 @@
-// Tests for the serving layer: snapshot fidelity against both matrix
-// stores, detour-index correctness (full build, incremental update, and the
-// counters the TIV statistics come from), PathServer query semantics, and
-// the lock-free publish/read contract under concurrency (the TSan leg).
+// Tests for the serving layer: snapshot fidelity against the matrix (in
+// memory and reloaded from its binary store), detour-index correctness
+// (full build, incremental update, and the counters the TIV statistics come
+// from), PathServer query semantics, and the lock-free publish/read
+// contract under concurrency (the TSan leg).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,6 @@
 #include "serve/path_server.h"
 #include "serve/snapshot.h"
 #include "ting/rtt_matrix.h"
-#include "ting/sparse_matrix.h"
 #include "util/rng.h"
 
 namespace ting::serve {
@@ -65,21 +65,22 @@ TEST(SnapshotTest, MirrorsDenseMatrix) {
 }
 
 TEST(SnapshotTest, SparseAndDenseBuildsAgree) {
+  // A partially converged matrix snapshots the same in memory and reloaded
+  // from the daemon's binary store (what `ting query` reads).
   World w(12, 2, /*missing_fraction=*/0.3);
-  const meas::SparseRttMatrix sparse =
-      meas::SparseRttMatrix::from_rtt_matrix(w.matrix);
-  const MatrixSnapshot from_dense = MatrixSnapshot::build(w.matrix);
-  const MatrixSnapshot from_sparse = MatrixSnapshot::build(sparse);
-  ASSERT_EQ(from_dense.node_count(), from_sparse.node_count());
-  EXPECT_EQ(from_dense.pair_count(), from_sparse.pair_count());
-  EXPECT_LT(from_dense.coverage(), 1.0);
-  const std::size_t n = from_dense.node_count();
+  const meas::RttMatrix stored = meas::RttMatrix::from_bin(w.matrix.to_bin());
+  const MatrixSnapshot from_memory = MatrixSnapshot::build(w.matrix);
+  const MatrixSnapshot from_store = MatrixSnapshot::build(stored);
+  ASSERT_EQ(from_memory.node_count(), from_store.node_count());
+  EXPECT_EQ(from_memory.pair_count(), from_store.pair_count());
+  EXPECT_LT(from_memory.coverage(), 1.0);
+  const std::size_t n = from_memory.node_count();
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(from_dense.node(i), from_sparse.node(i));
+    EXPECT_EQ(from_memory.node(i), from_store.node(i));
     for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(from_dense.has(i, j), from_sparse.has(i, j));
-      if (from_dense.has(i, j)) {
-        EXPECT_DOUBLE_EQ(from_dense.rtt_raw(i, j), from_sparse.rtt_raw(i, j));
+      EXPECT_EQ(from_memory.has(i, j), from_store.has(i, j));
+      if (from_memory.has(i, j)) {
+        EXPECT_DOUBLE_EQ(from_memory.rtt_raw(i, j), from_store.rtt_raw(i, j));
       }
     }
   }

@@ -257,6 +257,41 @@ TEST(ShardedScanTest, ScanPairsSubsetMatchesFullScanEntries) {
   }
 }
 
+TEST(ShardedScanTest, RescanReplacesEveryCachedEntry) {
+  // Every world starts from a copy of the caller's matrix. Only the pairs a
+  // world was dealt may land back after join; otherwise one world's
+  // untouched copy of a pair overwrites another world's fresh measurement.
+  const TestbedWorlds sharded(small_world(41));
+  const std::vector<dir::Fingerprint> nodes = sharded.nodes();
+  constexpr double kSentinel = 9999;
+  const auto sentinels = [&](const RttMatrix& m) {
+    const std::vector<double> values = m.values();
+    return std::count(values.begin(), values.end(), kSentinel);
+  };
+
+  RttMatrix clean;
+  sharded.scan(2, clean, deterministic(7));
+
+  for (const bool det : {true, false}) {
+    SCOPED_TRACE(det ? "deterministic" : "pool");
+    RttMatrix m;
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      for (std::size_t j = i + 1; j < nodes.size(); ++j)
+        m.set(nodes[i], nodes[j], kSentinel);
+    ASSERT_EQ(sentinels(m), 28);
+    ScanOptions so = det ? deterministic(7) : ScanOptions{};
+    so.max_age = Duration{};  // remeasure every cached pair
+    const ScanReport r = sharded.scan(2, m, so);
+    EXPECT_EQ(r.measured, 28u);
+    EXPECT_EQ(r.failed, 0u);
+    EXPECT_EQ(m.size(), 28u);
+    EXPECT_EQ(sentinels(m), 0);
+    if (det) {
+      EXPECT_EQ(m.to_csv(), clean.to_csv());
+    }
+  }
+}
+
 TEST(ShardedScanTest, ShardExceptionIsRethrownAfterJoin) {
   // World 1's reseed hook throws on its first pair; world 0 scans its
   // slice to completion on its own thread, and the failure surfaces only

@@ -1,7 +1,8 @@
-// Property tests for SparseRttMatrix: exact binary round-trips (including
-// adversarial double bit patterns), byte-determinism of serialization,
-// commutative/associative merge, TTL-expiry enumeration, CSV interop with
-// the dense RttMatrix, and the load_matrix_any() format sniffer.
+// Property tests for the RttMatrix store: exact binary round-trips
+// (including adversarial double bit patterns), byte-determinism of
+// serialization, commutative/associative merge, TTL-expiry enumeration, the
+// CSV schema in canonical pair order, and the format-sniffing load(). The
+// suite keeps its historical name so its test ids stay stable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,13 +12,14 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "ting/rtt_matrix.h"
-#include "ting/sparse_matrix.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -32,27 +34,35 @@ dir::Fingerprint fp(std::size_t i) {
 
 TimePoint at(std::int64_t s) { return TimePoint::from_ns(s * 1'000'000'000); }
 
-/// A randomly filled matrix over `n` relays with ~half the pairs present.
-SparseRttMatrix random_matrix(std::uint64_t seed, std::size_t n) {
+/// A matrix's entries keyed by canonical pair in an ordered map: the
+/// reference its serialization and aggregates are checked against.
+using Reference =
+    std::map<std::pair<dir::Fingerprint, dir::Fingerprint>, RttMatrix::Entry>;
+
+/// A randomly filled matrix over `n` relays with ~half the pairs present;
+/// `ref`, if given, receives the same entries.
+RttMatrix random_matrix(std::uint64_t seed, std::size_t n,
+                        Reference* ref = nullptr) {
   Rng rng(seed);
-  SparseRttMatrix m;
+  RttMatrix m;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       if (rng.uniform() < 0.5) continue;
       m.set(fp(i), fp(j), rng.uniform() * 300.0,
             at(static_cast<std::int64_t>(rng.uniform_int(1, 1000000))),
             static_cast<int>(rng.uniform_int(1, 50)));
+      if (ref != nullptr) (*ref)[{fp(i), fp(j)}] = *m.entry(fp(i), fp(j));
     }
   }
   return m;
 }
 
-bool same_entries(const SparseRttMatrix& a, const SparseRttMatrix& b) {
+bool same_entries(const RttMatrix& a, const RttMatrix& b) {
   return a.to_bin() == b.to_bin();
 }
 
 TEST(SparseRttMatrixTest, SetLookupAndCanonicalPairOrder) {
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(fp(2), fp(1), 12.5, at(10), 3);
   EXPECT_EQ(m.size(), 1u);
   // The pair is unordered: both orientations see the same entry.
@@ -61,22 +71,22 @@ TEST(SparseRttMatrixTest, SetLookupAndCanonicalPairOrder) {
   EXPECT_DOUBLE_EQ(*m.rtt(fp(2), fp(1)), 12.5);
   EXPECT_TRUE(m.contains(fp(2), fp(1)));
   EXPECT_FALSE(m.contains(fp(1), fp(3)));
-  const SparseRttMatrix::Entry* e = m.entry(fp(1), fp(2));
+  const RttMatrix::Entry* e = m.entry(fp(1), fp(2));
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->measured_at, at(10));
   EXPECT_EQ(e->samples, 3);
-  // set() overwrites unconditionally, like RttMatrix::set.
+  // set() overwrites unconditionally; merge() arbitrates by freshness.
   m.set(fp(1), fp(2), 9.0, at(5), 1);
   EXPECT_DOUBLE_EQ(*m.rtt(fp(1), fp(2)), 9.0);
   EXPECT_EQ(m.size(), 1u);
 }
 
 TEST(SparseRttMatrixTest, BinRoundTripIsExact) {
-  const SparseRttMatrix m = random_matrix(17, 12);
+  const RttMatrix m = random_matrix(17, 12);
   ASSERT_GT(m.size(), 0u);
   const std::string bin = m.to_bin();
-  EXPECT_EQ(bin.size(), 16 + m.size() * SparseRttMatrix::kBinRecordSize);
-  const SparseRttMatrix back = SparseRttMatrix::from_bin(bin);
+  EXPECT_EQ(bin.size(), 16 + m.size() * RttMatrix::kBinRecordSize);
+  const RttMatrix back = RttMatrix::from_bin(bin);
   EXPECT_EQ(back.size(), m.size());
   // Equal data serializes to equal bytes (sorted record order).
   EXPECT_EQ(back.to_bin(), bin);
@@ -94,13 +104,13 @@ TEST(SparseRttMatrixTest, BinRoundTripsAdversarialDoubles) {
       std::numeric_limits<double>::denorm_min(),
       std::numeric_limits<double>::max(),
   };
-  SparseRttMatrix m;
+  RttMatrix m;
   std::size_t i = 0;
   for (const double v : values) m.set(fp(0), fp(++i), v, at(1), 1);
-  const SparseRttMatrix back = SparseRttMatrix::from_bin(m.to_bin());
+  const RttMatrix back = RttMatrix::from_bin(m.to_bin());
   i = 0;
   for (const double v : values) {
-    const SparseRttMatrix::Entry* e = back.entry(fp(0), fp(++i));
+    const RttMatrix::Entry* e = back.entry(fp(0), fp(++i));
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(e->rtt_ms),
               std::bit_cast<std::uint64_t>(v));
@@ -108,34 +118,34 @@ TEST(SparseRttMatrixTest, BinRoundTripsAdversarialDoubles) {
 }
 
 TEST(SparseRttMatrixTest, BinRejectsCorruptInput) {
-  const SparseRttMatrix m = random_matrix(3, 6);
+  const RttMatrix m = random_matrix(3, 6);
   std::string bin = m.to_bin();
-  EXPECT_THROW(SparseRttMatrix::from_bin(bin.substr(0, bin.size() - 1)),
+  EXPECT_THROW(RttMatrix::from_bin(bin.substr(0, bin.size() - 1)),
                CheckError);
   std::string bad_magic = bin;
   bad_magic[0] = 'X';
-  EXPECT_THROW(SparseRttMatrix::from_bin(bad_magic), CheckError);
-  EXPECT_THROW(SparseRttMatrix::from_bin("short"), CheckError);
+  EXPECT_THROW(RttMatrix::from_bin(bad_magic), CheckError);
+  EXPECT_THROW(RttMatrix::from_bin("short"), CheckError);
 }
 
 TEST(SparseRttMatrixTest, MergeIsCommutativeAndAssociative) {
   // Overlapping pair sets with conflicting entries: merge order must not
   // matter (freshest-wins with a total-order tiebreak).
-  const SparseRttMatrix a = random_matrix(101, 10);
-  const SparseRttMatrix b = random_matrix(202, 10);
-  const SparseRttMatrix c = random_matrix(303, 10);
+  const RttMatrix a = random_matrix(101, 10);
+  const RttMatrix b = random_matrix(202, 10);
+  const RttMatrix c = random_matrix(303, 10);
 
-  SparseRttMatrix ab = a;
+  RttMatrix ab = a;
   ab.merge(b);
-  SparseRttMatrix ba = b;
+  RttMatrix ba = b;
   ba.merge(a);
   EXPECT_TRUE(same_entries(ab, ba));
 
-  SparseRttMatrix ab_c = ab;
+  RttMatrix ab_c = ab;
   ab_c.merge(c);
-  SparseRttMatrix bc = b;
+  RttMatrix bc = b;
   bc.merge(c);
-  SparseRttMatrix a_bc = a;
+  RttMatrix a_bc = a;
   a_bc.merge(bc);
   EXPECT_TRUE(same_entries(ab_c, a_bc));
 }
@@ -143,19 +153,19 @@ TEST(SparseRttMatrixTest, MergeIsCommutativeAndAssociative) {
 TEST(SparseRttMatrixTest, MergeTiebreaksEqualTimestamps) {
   // Same pair, same timestamp, different values: the winner must be the
   // same regardless of merge direction (rtt bit pattern breaks the tie).
-  SparseRttMatrix x, y;
+  RttMatrix x, y;
   x.set(fp(1), fp(2), 10.0, at(5), 1);
   y.set(fp(1), fp(2), 20.0, at(5), 1);
-  SparseRttMatrix xy = x;
+  RttMatrix xy = x;
   xy.merge(y);
-  SparseRttMatrix yx = y;
+  RttMatrix yx = y;
   yx.merge(x);
   EXPECT_EQ(xy.to_bin(), yx.to_bin());
   EXPECT_DOUBLE_EQ(*xy.rtt(fp(1), fp(2)), 20.0);  // larger bits win
 }
 
 TEST(SparseRttMatrixTest, MergePrefersFresher) {
-  SparseRttMatrix old_m, new_m;
+  RttMatrix old_m, new_m;
   old_m.set(fp(1), fp(2), 50.0, at(5), 9);
   new_m.set(fp(1), fp(2), 60.0, at(6), 1);
   old_m.merge(new_m);
@@ -163,20 +173,23 @@ TEST(SparseRttMatrixTest, MergePrefersFresher) {
 }
 
 TEST(SparseRttMatrixTest, AbsorbRestampsDenseResults) {
-  RttMatrix dense;
-  dense.set(fp(1), fp(2), 30.0, TimePoint{}, 5);  // deterministic scans stamp 0
-  dense.set(fp(2), fp(3), 40.0, TimePoint{}, 5);
-  SparseRttMatrix m;
+  RttMatrix results;
+  results.set(fp(1), fp(2), 30.0, TimePoint{}, 5);  // deterministic scans stamp 0
+  results.set(fp(2), fp(3), 40.0, TimePoint{}, 6);
+  RttMatrix m;
   m.set(fp(0), fp(1), 10.0, at(1), 1);
-  m.absorb(dense, at(100));
+  m.absorb(results, at(100));
   EXPECT_EQ(m.size(), 3u);
   EXPECT_EQ(m.entry(fp(1), fp(2))->measured_at, at(100));
   EXPECT_EQ(m.entry(fp(2), fp(3))->measured_at, at(100));
   EXPECT_EQ(m.entry(fp(0), fp(1))->measured_at, at(1));  // untouched
+  // Only the stamp changes: estimates and sample counts carry over.
+  EXPECT_DOUBLE_EQ(*m.rtt(fp(1), fp(2)), 30.0);
+  EXPECT_EQ(m.entry(fp(2), fp(3))->samples, 6);
 }
 
 TEST(SparseRttMatrixTest, ExpiredPairsOldestFirst) {
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(fp(1), fp(2), 1.0, at(10), 1);
   m.set(fp(3), fp(4), 2.0, at(30), 1);
   m.set(fp(5), fp(6), 3.0, at(20), 1);
@@ -191,7 +204,7 @@ TEST(SparseRttMatrixTest, ExpiredPairsOldestFirst) {
 }
 
 TEST(SparseRttMatrixTest, CoverageCensus) {
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(fp(0), fp(1), 1.0, at(95), 1);  // fresh
   m.set(fp(0), fp(2), 2.0, at(10), 1);  // stale
   const std::vector<dir::Fingerprint> nodes = {fp(0), fp(1), fp(2)};
@@ -207,7 +220,7 @@ TEST(SparseRttMatrixTest, CoverageCensus) {
 }
 
 TEST(SparseRttMatrixTest, EraseRelayDropsAllTouchingPairs) {
-  SparseRttMatrix m = random_matrix(7, 8);
+  RttMatrix m = random_matrix(7, 8);
   const std::size_t before = m.size();
   std::size_t touching = 0;
   for (std::size_t j = 0; j < 8; ++j)
@@ -218,25 +231,55 @@ TEST(SparseRttMatrixTest, EraseRelayDropsAllTouchingPairs) {
 }
 
 TEST(SparseRttMatrixTest, DenseInteropAndCsvSchema) {
-  const SparseRttMatrix m = random_matrix(23, 9);
-  const RttMatrix dense = m.to_rtt_matrix();
-  EXPECT_EQ(dense.size(), m.size());
-  // CSV output is byte-identical to the dense matrix's (same schema, same
-  // canonical order), so daemon artifacts drop into existing tooling.
-  EXPECT_EQ(m.to_csv(), dense.to_csv());
-  const SparseRttMatrix back = SparseRttMatrix::from_rtt_matrix(dense);
-  EXPECT_TRUE(same_entries(back, m));
-  // And the dense parser accepts sparse CSV (round trip through RttMatrix).
+  // The CSV schema of the published datasets, one row per pair in
+  // canonical order, so every artifact drops into existing tooling.
+  Reference ref;
+  const RttMatrix m = random_matrix(23, 9, &ref);
+  ASSERT_EQ(m.size(), ref.size());
+  std::ostringstream want;
+  want << "fp_a,fp_b,rtt_ms,measured_at_ns,samples\n";
+  for (const auto& [k, e] : ref)
+    want << k.first.hex() << "," << k.second.hex() << "," << e.rtt_ms << ","
+         << e.measured_at.ns() << "," << e.samples << "\n";
+  EXPECT_EQ(m.to_csv(), want.str());
+  // The order pairs were recorded in (and their orientation) never leaks
+  // into the artifacts.
+  RttMatrix reversed;
+  for (auto it = ref.rbegin(); it != ref.rend(); ++it)
+    reversed.set(it->first.second, it->first.first, it->second.rtt_ms,
+                 it->second.measured_at, it->second.samples);
+  EXPECT_TRUE(same_entries(reversed, m));
+  EXPECT_EQ(reversed.to_csv(), m.to_csv());
+  // The parser accepts the writer's output: CSV text is a fixed point, and
+  // stamps and sample counts survive exactly.
   const RttMatrix reparsed = RttMatrix::from_csv(m.to_csv());
-  EXPECT_EQ(reparsed.to_csv(), dense.to_csv());
+  EXPECT_EQ(reparsed.to_csv(), m.to_csv());
+  for (const auto& [k, e] : ref) {
+    const RttMatrix::Entry* got = reparsed.entry(k.first, k.second);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->measured_at, e.measured_at);
+    EXPECT_EQ(got->samples, e.samples);
+  }
 }
 
 TEST(SparseRttMatrixTest, AggregatesMatchDense) {
-  const SparseRttMatrix m = random_matrix(31, 7);
-  const RttMatrix dense = m.to_rtt_matrix();
-  EXPECT_EQ(m.nodes(), dense.nodes());
-  EXPECT_EQ(m.values(), dense.values());
-  EXPECT_DOUBLE_EQ(m.mean_rtt(), dense.mean_rtt());
+  // Aggregates walk the pairs in canonical order, so they are functions of
+  // the entries alone, not of the hash table's layout.
+  Reference ref;
+  const RttMatrix m = random_matrix(31, 7, &ref);
+  std::set<dir::Fingerprint> nodes;
+  std::vector<double> values;
+  double total = 0;
+  for (const auto& [k, e] : ref) {
+    nodes.insert(k.first);
+    nodes.insert(k.second);
+    values.push_back(e.rtt_ms);
+    total += e.rtt_ms;
+  }
+  EXPECT_EQ(m.nodes(),
+            std::vector<dir::Fingerprint>(nodes.begin(), nodes.end()));
+  EXPECT_EQ(m.values(), values);
+  EXPECT_EQ(m.mean_rtt(), total / static_cast<double>(ref.size()));
 }
 
 TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
@@ -245,7 +288,7 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
   // inserts, overwrites, restamps, merges, and relay erasure.
   Rng rng(911);
   const std::size_t n = 14;
-  SparseRttMatrix m;
+  RttMatrix m;
   std::map<std::pair<std::size_t, std::size_t>, std::int64_t> reference;
   const auto check = [&](std::int64_t now_s, std::int64_t ttl_s) {
     std::vector<std::tuple<std::int64_t, std::size_t, std::size_t>> want;
@@ -274,7 +317,7 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
       // Merge a batch in. merge() is freshest-wins, and the expiry check
       // only compares stamps, so the reference keeps the max stamp per pair
       // (the equal-stamp value tiebreak cannot change measured_at).
-      SparseRttMatrix other;
+      RttMatrix other;
       for (int k = 0; k < 10; ++k) {
         const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
         auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
@@ -301,7 +344,7 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
 TEST(SparseRttMatrixTest, RestampBackToOldValueNotDuplicated) {
   // Re-stamping a pair to a value it held before can leave two live-looking
   // records in the same wheel bucket; enumeration must dedupe.
-  SparseRttMatrix m;
+  RttMatrix m;
   m.set(fp(1), fp(2), 1.0, at(10), 1);
   m.set(fp(1), fp(2), 2.0, at(50), 1);
   m.set(fp(1), fp(2), 3.0, at(10), 1);  // back to the original stamp
@@ -314,7 +357,7 @@ TEST(SparseRttMatrixTest, RestampBackToOldValueNotDuplicated) {
 }
 
 TEST(SparseRttMatrixTest, MemoryBytesAndReservePolicy) {
-  SparseRttMatrix m;
+  RttMatrix m;
   const std::size_t empty_bytes = m.memory_bytes();
   m.reserve_pairs(5000);
   for (std::size_t i = 0; i < 100; ++i)
@@ -330,22 +373,23 @@ TEST(SparseRttMatrixTest, MemoryBytesAndReservePolicy) {
       static_cast<double>(full_bytes) / static_cast<double>(m.size());
   EXPECT_GT(per_pair, 48.0);
   EXPECT_LT(per_pair, 512.0);
-  EXPECT_LE(m.load_factor(), SparseRttMatrix::kMaxLoadFactor + 0.01f);
+  EXPECT_LE(m.load_factor(), RttMatrix::kMaxLoadFactor + 0.01f);
 }
 
 TEST(SparseRttMatrixTest, SaveLoadAnySniffsFormat) {
-  const SparseRttMatrix m = random_matrix(5, 6);
+  const RttMatrix m = random_matrix(5, 6);
   const std::string dir = ::testing::TempDir();
   const std::string bin_path = dir + "/sm_test.tingmx";
   const std::string csv_path = dir + "/sm_test.csv";
   m.save_bin(bin_path);
   m.save_csv(csv_path);
 
-  const SparseRttMatrix from_disk = SparseRttMatrix::load_bin(bin_path);
+  const RttMatrix from_disk = RttMatrix::load_bin(bin_path);
   EXPECT_TRUE(same_entries(from_disk, m));
 
-  const RttMatrix via_bin = load_matrix_any(bin_path);
-  const RttMatrix via_csv = load_matrix_any(csv_path);
+  const RttMatrix via_bin = RttMatrix::load(bin_path);
+  const RttMatrix via_csv = RttMatrix::load(csv_path);
+  EXPECT_TRUE(same_entries(via_bin, m));
   // CSV rounds to 6 significant digits, so compare through CSV text (the
   // binary path must not lose anything the CSV path keeps).
   EXPECT_EQ(via_bin.to_csv(), m.to_csv());

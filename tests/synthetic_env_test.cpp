@@ -15,7 +15,7 @@
 #include "scenario/daemon_world.h"
 #include "scenario/synthetic_env.h"
 #include "ting/daemon.h"
-#include "ting/sparse_matrix.h"
+#include "ting/rtt_matrix.h"
 
 namespace ting::scenario {
 namespace {
@@ -184,7 +184,7 @@ TEST(SyntheticEnvTest, MatchesTestbedEnvironmentAtSmallScale) {
   std::vector<meas::EpochStats> tb_epochs, sy_epochs;
   const std::string tb_out = ::testing::TempDir() + "/sanity_tb.tingmx";
   const std::string sy_out = ::testing::TempDir() + "/sanity_sy.tingmx";
-  meas::SparseRttMatrix tb_matrix, sy_matrix;
+  meas::RttMatrix tb_matrix, sy_matrix;
   {
     TestbedDaemonEnvironment env(wo);
     meas::ScanDaemon daemon(env, daemon_opts(tb_out, 3));

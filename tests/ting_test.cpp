@@ -262,6 +262,21 @@ TEST(RttMatrixTest, CsvRoundTrip) {
 
 TEST(RttMatrixTest, CsvRejectsGarbage) {
   EXPECT_THROW(RttMatrix::from_csv("header\nnot,enough"), CheckError);
+  const std::string header = "fp_a,fp_b,rtt_ms,measured_at_ns,samples\n";
+  EXPECT_THROW(RttMatrix::from_csv(header + "not,enough"), CheckError);
+  // A headerless file must not load minus its first row.
+  RttMatrix m;
+  m.set(fake_fp(1), fake_fp(2), 12.25, TimePoint::from_ns(777), 200);
+  m.set(fake_fp(3), fake_fp(4), 99.5, TimePoint::from_ns(888), 100);
+  const std::string csv = m.to_csv();
+  ASSERT_EQ(csv.substr(0, header.size()), header);
+  const std::string headerless = csv.substr(header.size());
+  try {
+    RttMatrix::from_csv(headerless);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
+  }
 }
 
 TEST(RttMatrixTest, CsvRejectsCorruptNumericFields) {

@@ -43,7 +43,6 @@
 #include "ting/measurer.h"
 #include "ting/scan_journal.h"
 #include "ting/scheduler.h"
-#include "ting/sparse_matrix.h"
 #include "util/stats.h"
 
 namespace {
@@ -611,7 +610,7 @@ void print_circuit(const serve::PathServer::Circuit& c) {
 /// Load a matrix, publish it into a PathServer once, and answer one query.
 int cmd_query(const Args& args) {
   const meas::RttMatrix matrix =
-      meas::load_matrix_any(args.str("matrix", "matrix.csv"));
+      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
   serve::ServeOptions so;
   so.candidates_per_length =
       static_cast<std::size_t>(args.num("candidates", 2000));
@@ -791,7 +790,7 @@ int cmd_serve(const Args& args) {
   so.float32_snapshot = args.flag("float32", false);
   serve::PathServer server(so);
   opt.on_checkpoint = [&server, &opt](
-                          const meas::SparseRttMatrix& m,
+                          const meas::RttMatrix& m,
                           const std::vector<dir::Fingerprint>&,
                           const std::vector<dir::Fingerprint>& changed,
                           const meas::EpochStats& s) {
@@ -848,32 +847,19 @@ int cmd_convert(const Args& args) {
   const std::string in = args.str("matrix", "matrix.csv");
   const std::string csv_out = args.str("csv", "");
   const std::string bin_out = args.str("bin", "");
-  std::ifstream f(in, std::ios::binary);
-  if (!f.good()) {
-    std::fprintf(stderr, "cannot open %s\n", in.c_str());
-    return 2;
-  }
-  std::string content((std::istreambuf_iterator<char>(f)),
-                      std::istreambuf_iterator<char>());
-  const bool is_bin =
-      content.size() >= 8 &&
-      std::memcmp(content.data(), meas::SparseRttMatrix::kBinMagic, 8) == 0;
-  const meas::SparseRttMatrix matrix =
-      is_bin ? meas::SparseRttMatrix::from_bin(content)
-             : meas::SparseRttMatrix::from_csv(content);
+  const meas::RttMatrix matrix = meas::RttMatrix::load(in);
   if (!csv_out.empty()) matrix.save_csv(csv_out);
   if (!bin_out.empty()) matrix.save_bin(bin_out);
-  std::printf("%s: %s, %zu pairs over %zu relays%s%s%s%s\n", in.c_str(),
-              is_bin ? "sparse binary" : "csv", matrix.size(),
-              matrix.nodes().size(), csv_out.empty() ? "" : " -> ",
-              csv_out.c_str(), bin_out.empty() ? "" : " -> ",
-              bin_out.c_str());
+  std::printf("%s: %zu pairs over %zu relays%s%s%s%s\n", in.c_str(),
+              matrix.size(), matrix.nodes().size(),
+              csv_out.empty() ? "" : " -> ", csv_out.c_str(),
+              bin_out.empty() ? "" : " -> ", bin_out.c_str());
   return 0;
 }
 
 int cmd_tiv(const Args& args) {
   const meas::RttMatrix matrix =
-      meas::load_matrix_any(args.str("matrix", "matrix.csv"));
+      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
   // One O(n³) detour-index pass yields the findings and the fraction
   // together (this used to run the full scan twice).
   const auto summary = analysis::tiv_summary(matrix);
@@ -899,7 +885,7 @@ int cmd_tiv(const Args& args) {
 
 int cmd_deanon(const Args& args) {
   const meas::RttMatrix matrix =
-      meas::load_matrix_any(args.str("matrix", "matrix.csv"));
+      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
   const int runs = static_cast<int>(args.num("runs", 300));
   analysis::DeanonWorld world;
   world.nodes = matrix.nodes();
@@ -948,7 +934,7 @@ int cmd_deanon(const Args& args) {
 
 int cmd_coords(const Args& args) {
   const meas::RttMatrix matrix =
-      meas::load_matrix_any(args.str("matrix", "matrix.csv"));
+      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
   analysis::VivaldiSystem vivaldi;
   Rng rng(static_cast<std::uint64_t>(args.num("seed", 2)));
   vivaldi.fit(matrix, matrix.nodes(), rng,
@@ -1113,7 +1099,7 @@ void usage() {
       "  (scans the whole consensus in epochs: each epoch applies churn, plans\n"
       "   a delta worklist [new pairs first, then TTL-expired oldest-first, cut\n"
       "   to --budget pairs], measures it deterministically, and checkpoints the\n"
-      "   sparse binary matrix at <out>, state at <out>.state, journal at\n"
+      "   binary matrix at <out>, state at <out>.state, journal at\n"
       "   <out>.journal, half cache at <out>.halves. SIGTERM/kill at any point\n"
       "   resumes into the same epoch with --resume, byte-identically for\n"
       "   churn-only runs. exit: 0 converged to --coverage, 1 not converged,\n"
@@ -1142,7 +1128,8 @@ void usage() {
       "  deanon    deanonymization strategy comparison  (--matrix --runs)\n"
       "  coords    Vivaldi-embedding comparison         (--matrix --percent --seed)\n"
       "  coverage  consensus timeline + host classes    (--days --relays)\n"
-      "  (tiv/deanon/coords accept scan CSVs and daemon sparse binaries alike)\n",
+      "  (query/convert/tiv/deanon/coords accept scan CSVs and daemon binary\n"
+      "   stores alike)\n",
       stderr);
 }
 
