@@ -8,6 +8,7 @@
 // archive alongside BENCH_scan.json.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -156,8 +157,9 @@ int main() {
   // The full-consensus regime (§5.3: ~6,000 relays, ~18M pairs) against the
   // synthetic environment: (1) two budgeted daemon epochs end to end,
   // (2) a full-mesh RttMatrix fill profiling memory_bytes at 18M
-  // entries, (3) plan_delta vs the primed incremental planner on identical
-  // state — the speedup and plan-equality numbers gate-scale enforces.
+  // entries, (3) plan_delta vs the all-pairs reference census on identical
+  // state — the speedup and plan-equality numbers gate-scale enforces
+  // (plan_full_ms times the census, plan_incremental_ms plan_delta).
   const std::size_t sr = scale_relays();
   const double rss_before_mb = peak_rss_mb();
   double scale_construct_ms = 0, scale_epoch_wall_s = 0, fill_wall_s = 0;
@@ -231,15 +233,15 @@ int main() {
                 static_cast<double>(scale_matrix_bytes) /
                     static_cast<double>(fill_pairs));
 
-    // (3) Planner head-to-head on identical state: prime the incremental
-    // planner on the full mesh, advance one churn epoch, then time both
-    // planners over the same (matrix, nodes, clock) and require identical
-    // plans. TTL keeps the mesh fresh, so the census's only yield is the
+    // (3) Planner head-to-head on identical state: advance one churn epoch
+    // past the full mesh, then time an inline copy of the all-pairs census
+    // (one entry() probe per node pair: the planner the store's presence
+    // rows replaced, kept as tests/delta_scan_test.cpp's reference) against
+    // plan_delta over the same (matrix, nodes, clock), and require
+    // identical plans. TTL keeps the mesh fresh, so the only yield is the
     // joined relays' new pairs — the planner's steady-state regime.
     const meas::DeltaPlanOptions popt{Duration::seconds(3600), 0};
     const TimePoint now = TimePoint::from_ns(t1.ns() + 1000);
-    meas::IncrementalDeltaPlanner planner;
-    planner.plan_delta_incremental(full, nodes0, {}, now, popt);  // primes
     meas::ConsensusDeltaTracker tracker;
     tracker.observe(nodes0);
     feed.advance(1);
@@ -247,13 +249,32 @@ int main() {
     const auto delta = tracker.observe(nodes1);
 
     const auto t_full = std::chrono::steady_clock::now();
-    const meas::DeltaPlan p_full = meas::plan_delta(full, nodes1, now, popt);
+    meas::DeltaPlan p_full;
+    {
+      std::vector<meas::ExpiredCandidate> expired;
+      for (std::size_t i = 0; i < nodes1.size(); ++i) {
+        for (std::size_t j = i + 1; j < nodes1.size(); ++j) {
+          const meas::RttMatrix::Entry* e = full.entry(nodes1[i], nodes1[j]);
+          if (e == nullptr) {
+            ++p_full.new_pairs;
+            p_full.pairs.emplace_back(i, j);
+          } else if (now - e->measured_at <= popt.ttl) {
+            ++p_full.fresh_pairs;
+          } else {
+            expired.push_back(meas::ExpiredCandidate{i, j, e->measured_at});
+          }
+        }
+      }
+      p_full.expired_pairs = expired.size();
+      std::sort(expired.begin(), expired.end(), meas::expired_before);
+      for (const meas::ExpiredCandidate& c : expired)
+        p_full.pairs.emplace_back(c.i, c.j);
+    }
     plan_full_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t_full)
                        .count();
     const auto t_incr = std::chrono::steady_clock::now();
-    const meas::DeltaPlan p_incr =
-        planner.plan_delta_incremental(full, nodes1, delta.joined, now, popt);
+    const meas::DeltaPlan p_incr = meas::plan_delta(full, nodes1, now, popt);
     plan_incr_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t_incr)
                        .count();
@@ -263,8 +284,8 @@ int main() {
         p_full.fresh_pairs == p_incr.fresh_pairs &&
         p_full.dropped_over_budget == p_incr.dropped_over_budget;
     plan_pairs = p_full.pairs.size();
-    std::printf("# scale planner: %zu joined -> %zu pairs; full %.1f ms, "
-                "incremental %.2f ms (x%.0f), plans %s\n",
+    std::printf("# scale planner: %zu joined -> %zu pairs; census %.1f ms, "
+                "plan_delta %.2f ms (x%.0f), plans %s\n",
                 delta.joined.size(), plan_pairs, plan_full_ms, plan_incr_ms,
                 plan_incr_ms > 0 ? plan_full_ms / plan_incr_ms : 0,
                 planner_identical ? "identical" : "DIVERGED");

@@ -32,8 +32,8 @@ void SyntheticDaemonEnvironment::advance_epoch(std::size_t epoch) {
 
 std::vector<dir::Fingerprint> SyntheticDaemonEnvironment::nodes() {
   // ChurnFeed::members() is construction order filtered by membership — the
-  // same stable relative order the testbed environment reports, which the
-  // planner's index pairs (and the incremental planner's backlog) rely on.
+  // same stable relative order the testbed environment reports, so the two
+  // backends plan the same index pairs.
   return feed_->members();
 }
 

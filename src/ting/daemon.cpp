@@ -162,11 +162,7 @@ DaemonReport ScanDaemon::run(const EpochCallback& on_epoch,
 
     const TimePoint now = epoch_clock(options_.epoch_interval, e);
     const DeltaPlanOptions plan_opts{options_.ttl, options_.budget};
-    stats.plan = options_.incremental_planner
-                     ? planner_.plan_delta_incremental(matrix_, nodes,
-                                                       delta.joined, now,
-                                                       plan_opts)
-                     : plan_delta(matrix_, nodes, now, plan_opts);
+    stats.plan = plan_delta(matrix_, nodes, now, plan_opts);
 
     ScanOptions opt = options_.engine;
     // Deterministic replay is what makes a resumed epoch byte-identical.

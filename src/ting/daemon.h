@@ -114,11 +114,6 @@ struct DaemonOptions {
   std::uint64_t seed = 1;
   /// Memoize half circuits across pairs and epochs (checkpointed).
   bool half_cache = true;
-  /// Plan epochs with the IncrementalDeltaPlanner (O(churn + expired +
-  /// budget) per steady-state epoch) instead of re-running plan_delta's full
-  /// C(n,2) census. The two produce identical plans (pinned by tests); this
-  /// knob exists so parity can keep being checked and regressions bisected.
-  bool incremental_planner = true;
   /// Write the per-pair fsync'd journal. Disabling it trades pair-granular
   /// crash resume for epoch-granular resume (the state file and matrix
   /// checkpoint still make kill -9 safe at epoch boundaries) — at 6,000
@@ -214,9 +209,6 @@ class ScanDaemon {
   DaemonOptions options_;
   RttMatrix matrix_;
   HalfCircuitCache half_cache_;
-  /// Carries the missing-pair backlog across epochs; unprimed at process
-  /// start, so the first epoch (fresh or resumed) runs one full census.
-  IncrementalDeltaPlanner planner_;
 };
 
 }  // namespace ting::meas

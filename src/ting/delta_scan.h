@@ -14,17 +14,21 @@
 //   - fresh pairs are skipped entirely.
 //
 // Under a per-epoch measurement budget the ordered candidate list is cut by
-// a freshness heap (new pairs always beat expired ones; among expired,
+// a bounded partial sort (new pairs always beat expired ones; among expired,
 // oldest-first), and the remainder waits for the next epoch. Planning is a
 // pure function of (matrix, node set, clock, options), so an epoch resumed
 // after a crash re-derives exactly the worklist the crashed process was
 // running.
+//
+// Planning never probes pair by pair: the store's presence rows answer
+// "never measured" with bit tests in node-index order, and its freshness
+// wheel lists the expired pairs: popcounts plus at most one bit test per
+// pair, not one hash probe per candidate pair.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,69 +75,16 @@ struct ExpiredCandidate {
 };
 
 /// Priority among expired candidates: older beats newer, and equal stamps
-/// tie-break on the index pair. This is a strict total order, so
-/// plan_delta's full sort, its bounded freshness heap, and the incremental
-/// planner's wheel-fed path all cut the same candidates in the same order —
-/// the property the bit-for-bit equivalence tests pin. (The daemon restamps
+/// tie-break on the index pair. This is a strict total order, so a budget
+/// cut keeps exactly the prefix a full sort would. (The daemon restamps
 /// whole epochs with one clock value, so equal-stamp ties are the common
 /// case, not a corner.)
 bool expired_before(const ExpiredCandidate& l, const ExpiredCandidate& r);
 
-/// Incremental equivalent of plan_delta() for the daemon's steady state:
-/// instead of re-probing all C(n,2) pairs each epoch, it maintains the
-/// missing-pair backlog across calls and pays only for the epoch's actual
-/// work — O(joined·n) churn candidates, O(expired) records off the matrix's
-/// freshness wheel, O(backlog) cleanup, and O(budget) emission. The first
-/// call (and the first call after reset()) runs the same full census as
-/// plan_delta and primes the backlog, which is exactly what a crash-resumed
-/// process needs: resuming re-derives the crashed epoch's worklist from the
-/// persisted matrix alone.
-///
-/// Equivalence contract (pinned by tests): the returned plan is identical —
-/// pair order and all counters — to plan_delta over the same (matrix,
-/// nodes, now, options), provided
-///   (a) surviving relays keep their relative order across successive
-///       `nodes` vectors (both daemon environments enumerate testbed
-///       construction order filtered by membership, which guarantees this),
-///   (b) `joined` is exactly the churn-in since the previous call
-///       (ConsensusDeltaTracker::observe's output), and
-///   (c) between calls the matrix only gains or refreshes entries
-///       (set/merge/absorb) — after erase_relay(), call reset().
-class IncrementalDeltaPlanner {
- public:
-  DeltaPlan plan_delta_incremental(const RttMatrix& matrix,
-                                   const std::vector<dir::Fingerprint>& nodes,
-                                   const std::vector<dir::Fingerprint>& joined,
-                                   TimePoint now,
-                                   const DeltaPlanOptions& options = {});
-
-  /// Drop the backlog; the next call runs a full census again.
-  void reset();
-  bool primed() const { return primed_; }
-  /// Missing pairs carried by the backlog (8 bytes each — the bootstrap
-  /// backlog of an empty 6,000-relay matrix is ~18M pairs, ~144 MB).
-  std::size_t backlog_pairs() const { return missing_.size(); }
-
- private:
-  std::uint32_t intern(const dir::Fingerprint& fp);
-
-  bool primed_ = false;
-  /// Interned relay ids: fingerprints recur across epochs, so the backlog
-  /// stores 4-byte ids instead of 20-byte fingerprints.
-  std::vector<dir::Fingerprint> fp_by_id_;
-  std::unordered_map<dir::Fingerprint, std::uint32_t> id_of_;
-  /// Never-measured pairs among the last planned epoch's members, kept in
-  /// that epoch's node-index order (stable for survivors per the contract).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> missing_;
-};
-
 /// Tracks consensus membership across epochs and reports the churn delta —
 /// which relays joined and which left since the previous observation. The
-/// daemon feeds each epoch's node set through this to log churn and to hand
-/// the joined set to the incremental planner; the plan itself stays a pure
-/// function of (matrix, nodes, clock, options) — plan_delta needs no
-/// history, and the incremental planner's backlog is just a cache of what
-/// the matrix already encodes.
+/// daemon feeds each epoch's node set through this to report churn; the
+/// plan itself needs no history.
 class ConsensusDeltaTracker {
  public:
   struct Delta {

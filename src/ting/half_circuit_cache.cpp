@@ -154,8 +154,10 @@ std::string HalfCircuitCache::to_bin() const {
 HalfCircuitCache HalfCircuitCache::from_bin(const std::string& bin) {
   TING_CHECK_MSG(bin.size() >= 16 && std::memcmp(bin.data(), kBinMagic, 8) == 0,
                  "half-circuit cache: missing TINGHCX1 magic");
+  // Divide rather than multiply: 16 + count * 60 wraps for a hostile count.
   const std::uint64_t count = binfmt::get_u64le(bin, 8);
-  TING_CHECK_MSG(bin.size() == 16 + count * 60,
+  const std::size_t body = bin.size() - 16;
+  TING_CHECK_MSG(body % 60 == 0 && count == body / 60,
                  "half-circuit cache: truncated binary image ("
                      << bin.size() << " bytes for " << count << " records)");
   HalfCircuitCache c;

@@ -4,10 +4,9 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
-#include <set>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "ting/bin_codec.h"
 #include "util/assert.h"
@@ -37,11 +36,6 @@ std::string read_file(const std::string& path) {
 
 }  // namespace
 
-RttMatrix::Key RttMatrix::key(const dir::Fingerprint& a,
-                              const dir::Fingerprint& b) {
-  return a < b ? Key{a, b} : Key{b, a};
-}
-
 bool RttMatrix::fresher(const Entry& l, const Entry& r) {
   if (l.measured_at != r.measured_at) return l.measured_at > r.measured_at;
   const std::uint64_t lb = std::bit_cast<std::uint64_t>(l.rtt_ms);
@@ -50,7 +44,45 @@ bool RttMatrix::fresher(const Entry& l, const Entry& r) {
   return l.samples > r.samples;
 }
 
-void RttMatrix::wheel_insert(const Key& k, TimePoint at) {
+RttMatrix::RelayId RttMatrix::intern(const dir::Fingerprint& fp) {
+  auto [it, inserted] =
+      id_of_.try_emplace(fp, static_cast<RelayId>(relays_.size()));
+  if (inserted) relays_.push_back(Relay{fp, 0, {}});
+  return it->second;
+}
+
+RttMatrix::RelayId RttMatrix::find_relay(const dir::Fingerprint& fp) const {
+  auto it = id_of_.find(fp);
+  return it == id_of_.end() ? kNoRelay : it->second;
+}
+
+bool RttMatrix::present(RelayId a, RelayId b) const {
+  if (a == kNoRelay || b == kNoRelay) return false;
+  const std::vector<std::uint64_t>& row = relays_[a].row;
+  const std::size_t w = b >> 6;
+  return w < row.size() && ((row[w] >> (b & 63)) & 1) != 0;
+}
+
+void RttMatrix::mark(RelayId a, RelayId b) {
+  const auto set_bit = [](Relay& r, RelayId bit) {
+    const std::size_t w = bit >> 6;
+    if (r.row.size() <= w) r.row.resize(w + 1, 0);
+    r.row[w] |= std::uint64_t{1} << (bit & 63);
+    ++r.degree;
+  };
+  set_bit(relays_[a], b);
+  set_bit(relays_[b], a);
+}
+
+std::vector<RttMatrix::RelayId> RttMatrix::translate(const RttMatrix& other) {
+  std::vector<RelayId> to_mine(other.relays_.size(), kNoRelay);
+  for (std::size_t id = 0; id < other.relays_.size(); ++id)
+    if (other.relays_[id].degree > 0)
+      to_mine[id] = intern(other.relays_[id].fp);
+  return to_mine;
+}
+
+void RttMatrix::wheel_insert(PairKey k, TimePoint at) {
   wheel_[at.ns()].push_back(k);
 }
 
@@ -61,28 +93,35 @@ void RttMatrix::wheel_maybe_compact() {
   for (const auto& [k, v] : entries_) wheel_insert(k, v.measured_at);
 }
 
-void RttMatrix::set(const dir::Fingerprint& a, const dir::Fingerprint& b,
-                    double rtt_ms, TimePoint measured_at, int samples) {
-  TING_CHECK_MSG(!(a == b), "RttMatrix: self-pairs are not meaningful");
-  const Key k = key(a, b);
-  auto [it, inserted] =
-      entries_.try_emplace(k, Entry{rtt_ms, measured_at, samples});
-  if (!inserted) {
-    const bool restamped = it->second.measured_at != measured_at;
-    it->second = Entry{rtt_ms, measured_at, samples};
+void RttMatrix::put(RelayId a, RelayId b, const Entry& e) {
+  const PairKey k = pack(a, b);
+  auto [it, inserted] = entries_.try_emplace(k, e);
+  if (inserted) {
+    mark(a, b);
+  } else {
+    const bool restamped = it->second.measured_at != e.measured_at;
+    it->second = e;
     // Same stamp: the existing wheel record still points at the live bucket.
     if (!restamped) return;
     ++wheel_garbage_;
   }
-  wheel_insert(k, measured_at);
+  wheel_insert(k, e.measured_at);
   wheel_maybe_compact();
+}
+
+void RttMatrix::set(const dir::Fingerprint& a, const dir::Fingerprint& b,
+                    double rtt_ms, TimePoint measured_at, int samples) {
+  TING_CHECK_MSG(!(a == b), "RttMatrix: self-pairs are not meaningful");
+  const RelayId ia = intern(a);  // sequenced: ids follow first appearance
+  put(ia, intern(b), Entry{rtt_ms, measured_at, samples});
 }
 
 const RttMatrix::Entry* RttMatrix::entry(const dir::Fingerprint& a,
                                          const dir::Fingerprint& b) const {
-  auto it = entries_.find(key(a, b));
-  if (it == entries_.end()) return nullptr;
-  return &it->second;
+  const RelayId ia = find_relay(a);
+  const RelayId ib = find_relay(b);
+  if (!present(ia, ib)) return nullptr;
+  return &entries_.find(pack(ia, ib))->second;
 }
 
 std::optional<double> RttMatrix::rtt(const dir::Fingerprint& a,
@@ -94,7 +133,7 @@ std::optional<double> RttMatrix::rtt(const dir::Fingerprint& a,
 
 bool RttMatrix::contains(const dir::Fingerprint& a,
                          const dir::Fingerprint& b) const {
-  return entry(a, b) != nullptr;
+  return present(find_relay(a), find_relay(b));
 }
 
 bool RttMatrix::is_fresh(const dir::Fingerprint& a, const dir::Fingerprint& b,
@@ -105,37 +144,41 @@ bool RttMatrix::is_fresh(const dir::Fingerprint& a, const dir::Fingerprint& b,
 
 void RttMatrix::merge(const RttMatrix& other) {
   reserve_pairs(entries_.size() + other.entries_.size());
+  const std::vector<RelayId> to_mine = translate(other);
   for (const auto& [k, v] : other.entries_) {
-    auto [it, inserted] = entries_.try_emplace(k, v);
-    if (inserted) {
-      wheel_insert(k, v.measured_at);
-      continue;
-    }
-    if (!fresher(v, it->second)) continue;
-    const bool restamped = it->second.measured_at != v.measured_at;
-    it->second = v;
-    if (!restamped) continue;
-    ++wheel_garbage_;
-    wheel_insert(k, v.measured_at);
+    const RelayId a = to_mine[lo(k)];
+    const RelayId b = to_mine[hi(k)];
+    const auto it = entries_.find(pack(a, b));
+    if (it == entries_.end() || fresher(v, it->second)) put(a, b, v);
   }
-  wheel_maybe_compact();
 }
 
 void RttMatrix::absorb(const RttMatrix& results, TimePoint stamp) {
+  const std::vector<RelayId> to_mine = translate(results);
   for (const auto& [k, v] : results.entries_)
-    set(k.a, k.b, v.rtt_ms, stamp, v.samples);
+    put(to_mine[lo(k)], to_mine[hi(k)], Entry{v.rtt_ms, stamp, v.samples});
 }
 
 std::size_t RttMatrix::erase_relay(const dir::Fingerprint& relay) {
-  std::size_t dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.a == relay || it->first.b == relay) {
-      it = entries_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
+  const RelayId id = find_relay(relay);
+  if (id == kNoRelay) return 0;
+  // The relay's row names exactly the entries to drop; clear its bit in
+  // each partner's row, then the row itself.
+  Relay& gone = relays_[id];
+  const std::uint64_t id_bit = std::uint64_t{1} << (id & 63);
+  for (std::size_t w = 0; w < gone.row.size(); ++w) {
+    for (std::uint64_t bits = gone.row[w]; bits != 0; bits &= bits - 1) {
+      const auto other = static_cast<RelayId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      entries_.erase(pack(id, other));
+      Relay& partner = relays_[other];
+      partner.row[id >> 6] &= ~id_bit;
+      --partner.degree;
     }
+    gone.row[w] = 0;
   }
+  const std::size_t dropped = gone.degree;
+  gone.degree = 0;
   wheel_garbage_ += dropped;  // the wheel records go stale, not away
   wheel_maybe_compact();
   return dropped;
@@ -147,113 +190,183 @@ void RttMatrix::reserve_pairs(std::size_t pairs) {
 }
 
 std::size_t RttMatrix::memory_bytes() const {
-  // libstdc++ hash nodes carry a next pointer plus a cached hash alongside
-  // the payload; the bucket array is one pointer per bucket.
-  constexpr std::size_t kHashNodeOverhead = 2 * sizeof(void*);
+  // libstdc++ hash nodes carry a next pointer alongside the payload; the
+  // hash code is cached too unless the hasher is noexcept (PairKeyHash is,
+  // std::hash<Fingerprint> is not). The bucket array is one pointer per
+  // bucket.
+  constexpr std::size_t kNext = sizeof(void*);
   std::size_t bytes =
-      entries_.size() * (sizeof(std::pair<const Key, Entry>) + kHashNodeOverhead) +
+      entries_.size() * (sizeof(std::pair<const PairKey, Entry>) + kNext) +
       entries_.bucket_count() * sizeof(void*);
+  // Relay table: the records, their presence rows and the fingerprint index.
+  bytes += relays_.capacity() * sizeof(Relay);
+  for (const Relay& r : relays_)
+    bytes += r.row.capacity() * sizeof(std::uint64_t);
+  bytes += id_of_.size() * (sizeof(std::pair<const dir::Fingerprint, RelayId>) +
+                            kNext + sizeof(std::size_t)) +
+           id_of_.bucket_count() * sizeof(void*);
   // Wheel: a red-black tree node per distinct stamp plus the key vectors.
   constexpr std::size_t kTreeNodeOverhead = 4 * sizeof(void*);
   for (const auto& [at, keys] : wheel_) {
     bytes += kTreeNodeOverhead + sizeof(std::int64_t) + sizeof(keys) +
-             keys.capacity() * sizeof(Key);
+             keys.capacity() * sizeof(PairKey);
   }
   return bytes;
 }
 
-std::vector<std::pair<RttMatrix::Key, RttMatrix::Entry>>
-RttMatrix::sorted_items() const {
-  std::vector<std::pair<Key, Entry>> items(entries_.begin(), entries_.end());
-  std::sort(items.begin(), items.end(),
-            [](const auto& l, const auto& r) {
-              if (l.first.a != r.first.a) return l.first.a < r.first.a;
-              return l.first.b < r.first.b;
+RttMatrix::CanonicalOrder RttMatrix::canonical_order() const {
+  CanonicalOrder order;
+  order.by_rank.resize(relays_.size());
+  std::iota(order.by_rank.begin(), order.by_rank.end(), RelayId{0});
+  std::sort(order.by_rank.begin(), order.by_rank.end(),
+            [this](RelayId l, RelayId r) {
+              return relays_[l].fp < relays_[r].fp;
             });
-  return items;
+  std::vector<std::uint32_t> rank(relays_.size());
+  for (std::size_t r = 0; r < order.by_rank.size(); ++r)
+    rank[order.by_rank[r]] = static_cast<std::uint32_t>(r);
+  order.items.reserve(entries_.size());
+  for (const auto& [k, v] : entries_) {
+    const std::uint64_t ra = rank[lo(k)];
+    const std::uint64_t rb = rank[hi(k)];
+    order.items.emplace_back(ra < rb ? (ra << 32) | rb : (rb << 32) | ra, &v);
+  }
+  std::sort(order.items.begin(), order.items.end(),
+            [](const auto& l, const auto& r) { return l.first < r.first; });
+  return order;
 }
 
 std::vector<dir::Fingerprint> RttMatrix::nodes() const {
-  std::set<dir::Fingerprint> uniq;
-  for (const auto& [k, v] : entries_) {
-    uniq.insert(k.a);
-    uniq.insert(k.b);
-  }
-  return {uniq.begin(), uniq.end()};
+  std::vector<dir::Fingerprint> out;
+  for (const Relay& r : relays_)
+    if (r.degree > 0) out.push_back(r.fp);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<double> RttMatrix::values() const {
   std::vector<double> out;
   out.reserve(entries_.size());
-  for (const auto& [k, v] : sorted_items()) out.push_back(v.rtt_ms);
+  for (const auto& [k, e] : canonical_order().items) out.push_back(e->rtt_ms);
   return out;
 }
 
 double RttMatrix::mean_rtt() const {
   TING_CHECK_MSG(!entries_.empty(), "empty RTT matrix");
   double total = 0;
-  for (const auto& [k, v] : sorted_items()) total += v.rtt_ms;
+  for (const auto& [k, e] : canonical_order().items) total += e->rtt_ms;
   return total / static_cast<double>(entries_.size());
 }
 
-std::vector<RttMatrix::PairAge> RttMatrix::expired_pairs(
+std::vector<RttMatrix::PairKey> RttMatrix::expired_keys(
     TimePoint now, Duration max_age) const {
   // Walk wheel buckets oldest-first and stop at the TTL horizon; validate
   // each record against the live entry (overwrites leave stale records
   // behind). A pair re-stamped back to an earlier value can leave two valid
   // records in one bucket, so dedupe after the sort.
-  std::vector<PairAge> out;
+  std::vector<PairKey> out;
   for (const auto& [at_ns, keys] : wheel_) {
     if (now.ns() - at_ns <= max_age.ns()) break;
-    for (const Key& k : keys) {
+    for (const PairKey k : keys) {
       auto it = entries_.find(k);
-      if (it == entries_.end() || it->second.measured_at.ns() != at_ns)
-        continue;
-      out.push_back(PairAge{k.a, k.b, it->second.measured_at});
+      if (it != entries_.end() && it->second.measured_at.ns() == at_ns)
+        out.push_back(k);
     }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<RttMatrix::PairAge> RttMatrix::expired_pairs(
+    TimePoint now, Duration max_age) const {
+  std::vector<PairAge> out;
+  for (const PairKey k : expired_keys(now, max_age)) {
+    const dir::Fingerprint& a = relays_[lo(k)].fp;
+    const dir::Fingerprint& b = relays_[hi(k)].fp;
+    const TimePoint at = entries_.find(k)->second.measured_at;
+    out.push_back(a < b ? PairAge{a, b, at} : PairAge{b, a, at});
   }
   std::sort(out.begin(), out.end(), [](const PairAge& l, const PairAge& r) {
     if (l.measured_at != r.measured_at) return l.measured_at < r.measured_at;
     if (l.a != r.a) return l.a < r.a;
     return l.b < r.b;
   });
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const PairAge& l, const PairAge& r) {
-                          return l.a == r.a && l.b == r.b &&
-                                 l.measured_at == r.measured_at;
-                        }),
-            out.end());
+  return out;
+}
+
+std::vector<std::uint64_t> RttMatrix::member_mask(
+    const std::vector<dir::Fingerprint>& nodes) const {
+  std::vector<std::uint64_t> mask((relays_.size() + 63) / 64, 0);
+  for (const dir::Fingerprint& fp : nodes)
+    if (const RelayId id = find_relay(fp); id != kNoRelay)
+      mask[id >> 6] |= std::uint64_t{1} << (id & 63);
+  return mask;
+}
+
+std::size_t RttMatrix::present_pairs(
+    const std::vector<std::uint64_t>& mask) const {
+  // Every stored member pair shows up in both members' rows.
+  std::size_t twice = 0;
+  for (std::size_t mw = 0; mw < mask.size(); ++mw) {
+    for (std::uint64_t bits = mask[mw]; bits != 0; bits &= bits - 1) {
+      const std::vector<std::uint64_t>& row =
+          relays_[mw * 64 + static_cast<std::size_t>(std::countr_zero(bits))]
+              .row;
+      const std::size_t words = std::min(row.size(), mask.size());
+      for (std::size_t w = 0; w < words; ++w)
+        twice += static_cast<std::size_t>(std::popcount(row[w] & mask[w]));
+    }
+  }
+  return twice / 2;
+}
+
+RttMatrix::MissingPairs RttMatrix::missing_pairs(
+    const std::vector<dir::Fingerprint>& nodes, std::size_t limit) const {
+  const std::size_t n = nodes.size();
+  MissingPairs out;
+  out.count = n * (n - 1) / 2 - present_pairs(member_mask(nodes));
+  const std::size_t want = std::min(limit, out.count);
+  if (want == 0) return out;
+  std::vector<RelayId> ids(n);
+  for (std::size_t k = 0; k < n; ++k) ids[k] = find_relay(nodes[k]);
+  out.first.reserve(want);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (present(ids[i], ids[j])) continue;
+      out.first.emplace_back(i, j);
+      if (out.first.size() == want) return out;
+    }
+  }
   return out;
 }
 
 RttMatrix::CoverageCount RttMatrix::coverage(
     const std::vector<dir::Fingerprint>& nodes, TimePoint now,
     Duration max_age) const {
-  // Count over stored entries instead of probing all C(n,2) pairs: at 6,000
-  // relays the all-pairs probe is 18M hash lookups per epoch, while the
-  // store typically holds only what the budget has measured so far.
   CoverageCount c;
   c.total = nodes.size() * (nodes.size() - 1) / 2;
-  const std::unordered_set<dir::Fingerprint> members(nodes.begin(),
-                                                     nodes.end());
-  for (const auto& [k, v] : entries_) {
-    if (!members.contains(k.a) || !members.contains(k.b)) continue;
-    if (now - v.measured_at <= max_age) {
-      ++c.fresh;
-    } else {
-      ++c.stale;
-    }
-  }
-  c.missing = c.total - c.fresh - c.stale;
+  const std::vector<std::uint64_t> mask = member_mask(nodes);
+  const auto member = [&mask](RelayId id) {
+    return ((mask[id >> 6] >> (id & 63)) & 1) != 0;
+  };
+  const std::size_t present = present_pairs(mask);
+  for (const PairKey k : expired_keys(now, max_age))
+    if (member(lo(k)) && member(hi(k))) ++c.stale;
+  c.fresh = present - c.stale;
+  c.missing = c.total - present;
   return c;
 }
 
 std::string RttMatrix::to_csv() const {
   std::ostringstream os;
   os << kCsvHeader << "\n";
-  for (const auto& [k, v] : sorted_items()) {
-    os << k.a.hex() << "," << k.b.hex() << "," << v.rtt_ms << ","
-       << v.measured_at.ns() << "," << v.samples << "\n";
+  const CanonicalOrder order = canonical_order();
+  for (std::size_t k = 0; k < order.items.size(); ++k) {
+    const Entry& v = *order.items[k].second;
+    os << order.fp_a(*this, k).hex() << "," << order.fp_b(*this, k).hex()
+       << "," << v.rtt_ms << "," << v.measured_at.ns() << "," << v.samples
+       << "\n";
   }
   return os.str();
 }
@@ -314,9 +427,11 @@ std::string RttMatrix::to_bin() const {
   out.reserve(16 + entries_.size() * kBinRecordSize);
   out.append(kBinMagic, 8);
   put_u64le(out, entries_.size());
-  for (const auto& [k, v] : sorted_items()) {
-    put_fp(out, k.a);
-    put_fp(out, k.b);
+  const CanonicalOrder order = canonical_order();
+  for (std::size_t k = 0; k < order.items.size(); ++k) {
+    const Entry& v = *order.items[k].second;
+    put_fp(out, order.fp_a(*this, k));
+    put_fp(out, order.fp_b(*this, k));
     put_u64le(out, std::bit_cast<std::uint64_t>(v.rtt_ms));
     put_u64le(out, static_cast<std::uint64_t>(v.measured_at.ns()));
     put_u32le(out, static_cast<std::uint32_t>(v.samples));
@@ -327,8 +442,10 @@ std::string RttMatrix::to_bin() const {
 RttMatrix RttMatrix::from_bin(const std::string& bin) {
   TING_CHECK_MSG(bin.size() >= 16 && std::memcmp(bin.data(), kBinMagic, 8) == 0,
                  "RTT matrix: missing TINGSMX1 magic");
+  // Divide rather than multiply: 16 + count * 60 wraps for a hostile count.
   const std::uint64_t count = get_u64le(bin, 8);
-  TING_CHECK_MSG(bin.size() == 16 + count * kBinRecordSize,
+  const std::size_t body = bin.size() - 16;
+  TING_CHECK_MSG(body % kBinRecordSize == 0 && count == body / kBinRecordSize,
                  "RTT matrix: truncated binary image ("
                      << bin.size() << " bytes for " << count << " records)");
   RttMatrix m;

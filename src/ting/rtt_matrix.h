@@ -7,11 +7,18 @@
 // epoch's scratch matrix, the daemon's persistent store, and the input of
 // the serving layer and analysis/*. A real consensus is ~6,000 relays
 // (§5.3), i.e. ~18M unordered pairs, and a continuous scan holds whatever
-// subset it has measured so far while the pair set churns. So pairs live in
-// a hash map (O(1) lookup, no dense allocation), and a freshness wheel
-// indexes them by stamp for the delta planner's TTL queries: enumeration of
-// expired pairs, freshness counting over a node set, and relay erasure on
-// churn.
+// subset it has measured so far while the pair set churns.
+//
+// A relay table interns fingerprints to dense u32 ids (assigned on first
+// insert, never reused within one object), so pairs live in a hash map
+// keyed by the packed id pair (O(1) lookup, no dense allocation). Each id
+// also carries a presence row — a bitset over the other ids, with a bit set
+// exactly when that pair is stored — which answers the delta planner's
+// "which pairs were never measured?", the coverage census and nodes() with
+// bit tests and popcounts instead of hashing. A freshness wheel indexes the
+// pairs by stamp for TTL queries. Ids are private: nothing observable
+// depends on their order (plans follow the caller's node list, artifacts
+// follow fingerprint order).
 //
 // Two on-disk formats, both written via util/atomic_file in canonical pair
 // order: the CSV schema of the original project's published datasets, and
@@ -32,6 +39,7 @@
 #include <vector>
 
 #include "dir/fingerprint.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace ting::meas {
@@ -79,7 +87,8 @@ class RttMatrix {
 
   /// Drop every pair touching `relay` (it left the consensus for good, or
   /// its descriptor changed enough that old estimates are suspect).
-  /// Returns the number of pairs dropped.
+  /// Returns the number of pairs dropped. O(degree): the relay's presence
+  /// row names exactly the entries to erase. The relay keeps its id.
   std::size_t erase_relay(const dir::Fingerprint& relay);
 
   std::size_t size() const { return entries_.size(); }
@@ -87,7 +96,8 @@ class RttMatrix {
   /// Current entry-table load factor (capped at kMaxLoadFactor once
   /// reserve_pairs has pinned the policy).
   float load_factor() const { return entries_.load_factor(); }
-  /// All distinct relays appearing in the matrix, sorted.
+  /// All distinct relays appearing in the matrix (a non-empty presence
+  /// row), sorted.
   std::vector<dir::Fingerprint> nodes() const;
   /// All recorded RTT values, in canonical pair order.
   std::vector<double> values() const;
@@ -104,8 +114,22 @@ class RttMatrix {
   /// Every stored pair whose entry is older than `max_age` at `now`,
   /// oldest first (ties broken by pair, so the order is deterministic).
   /// Served from the freshness wheel: O(expired + stale index records), not
-  /// O(size) — the incremental delta planner calls this every epoch.
+  /// O(size) — the delta planner calls this every epoch.
   std::vector<PairAge> expired_pairs(TimePoint now, Duration max_age) const;
+
+  /// The never-measured pairs among `nodes` (distinct relays).
+  struct MissingPairs {
+    std::size_t count = 0;  ///< unordered pairs of `nodes` with no entry
+    /// The first `limit` of them as index pairs (i < j) into `nodes`, in
+    /// lexicographic order.
+    std::vector<std::pair<std::size_t, std::size_t>> first;
+  };
+  /// The delta planner's census: counts by popcount over the presence rows
+  /// and emits by bit tests in node-index order, stopping at the `limit`th:
+  /// O(n²/64) plus at most one bit test per pair, with no hashing beyond
+  /// one id lookup per node.
+  MissingPairs missing_pairs(const std::vector<dir::Fingerprint>& nodes,
+                             std::size_t limit) const;
 
   /// Freshness census over the all-pairs set of `nodes`.
   struct CoverageCount {
@@ -119,13 +143,16 @@ class RttMatrix {
     }
   };
   /// The daemon's convergence criterion and the analysis-side view of a
-  /// store's health.
+  /// store's health. Present pairs come from popcounts over the members'
+  /// presence rows, stale ones off the freshness wheel; fresh is the
+  /// difference.
   CoverageCount coverage(const std::vector<dir::Fingerprint>& nodes,
                          TimePoint now, Duration max_age) const;
 
   /// Estimated heap footprint in bytes: hash-node payload + chaining
-  /// overhead per entry, the bucket pointer array, and the freshness wheel
-  /// (one Key per live-or-stale index record plus a tree node per distinct
+  /// overhead per entry, the bucket pointer array, the relay table (records,
+  /// presence rows, fingerprint index), and the freshness wheel (one packed
+  /// key per live-or-stale index record plus a tree node per distinct
   /// stamp). An estimate — allocator rounding is not modeled — but it moves
   /// with the store, which is what the daemon status lines and the 18M-entry
   /// bench profile need.
@@ -157,6 +184,8 @@ class RttMatrix {
   /// records in canonical pair order. Doubles are IEEE-754 bit patterns, so
   /// save/load round-trips exactly and equal matrices serialize to equal
   /// bytes — the property the daemon's crash-resume check compares.
+  /// from_bin raises CheckError unless the image is exactly 16 bytes plus
+  /// `count` records; a loaded matrix assigns ids in record order.
   std::string to_bin() const;
   static RttMatrix from_bin(const std::string& bin);
   void save_bin(const std::string& path) const;
@@ -168,30 +197,73 @@ class RttMatrix {
   static RttMatrix load(const std::string& path);
 
  private:
-  struct Key {
-    dir::Fingerprint a, b;  ///< canonical: a < b
-    bool operator==(const Key&) const = default;
+  /// Dense relay id: an index into relays_.
+  using RelayId = std::uint32_t;
+  static constexpr RelayId kNoRelay = 0xffffffffu;
+  /// An unordered pair of relay ids packed as (lower << 32 | higher).
+  using PairKey = std::uint64_t;
+  struct PairKeyHash {
+    // Ids are small dense integers, so identity hashing would alias whole
+    // lattices of keys onto one bucket; mix the bits first.
+    std::size_t operator()(PairKey k) const noexcept { return mix64(k); }
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      const std::size_t ha = std::hash<dir::Fingerprint>{}(k.a);
-      const std::size_t hb = std::hash<dir::Fingerprint>{}(k.b);
-      return ha ^ (hb + 0x9e3779b97f4a7c15ULL + (ha << 6) + (ha >> 2));
+  struct Relay {
+    dir::Fingerprint fp;
+    std::uint32_t degree = 0;  ///< stored pairs touching this relay
+    /// Presence row: bit j is set exactly when pair (this, j) is stored.
+    /// Grown on demand, so a missing word reads as all-absent.
+    std::vector<std::uint64_t> row;
+  };
+  /// Entries in canonical pair order: relays ranked by fingerprint once,
+  /// each entry keyed by (lower rank << 32 | higher rank).
+  struct CanonicalOrder {
+    std::vector<RelayId> by_rank;  ///< ids in fingerprint order
+    std::vector<std::pair<std::uint64_t, const Entry*>> items;
+    const dir::Fingerprint& fp_a(const RttMatrix& m, std::size_t k) const {
+      return m.relays_[by_rank[items[k].first >> 32]].fp;
+    }
+    const dir::Fingerprint& fp_b(const RttMatrix& m, std::size_t k) const {
+      return m.relays_[by_rank[items[k].first & 0xffffffffu]].fp;
     }
   };
-  static Key key(const dir::Fingerprint& a, const dir::Fingerprint& b);
+
+  static PairKey pack(RelayId a, RelayId b) {
+    return a < b ? (PairKey{a} << 32) | b : (PairKey{b} << 32) | a;
+  }
+  static RelayId lo(PairKey k) { return static_cast<RelayId>(k >> 32); }
+  static RelayId hi(PairKey k) { return static_cast<RelayId>(k); }
   /// True when `l` beats `r` under the merge total order.
   static bool fresher(const Entry& l, const Entry& r);
-  /// Entries in canonical pair order — the deterministic iteration that
-  /// every serialization and aggregate goes through.
-  std::vector<std::pair<Key, Entry>> sorted_items() const;
+
+  RelayId intern(const dir::Fingerprint& fp);
+  /// kNoRelay when `fp` was never interned here.
+  RelayId find_relay(const dir::Fingerprint& fp) const;
+  /// Presence bit of pair (a, b); false for kNoRelay or a == b.
+  bool present(RelayId a, RelayId b) const;
+  /// Set the presence bits of a newly inserted pair.
+  void mark(RelayId a, RelayId b);
+  /// `other`'s relay ids mapped into this matrix (interning as needed):
+  /// one fingerprint lookup per relay, not per entry.
+  std::vector<RelayId> translate(const RttMatrix& other);
+  /// Insert or overwrite pair (a, b), keeping rows and wheel in step.
+  void put(RelayId a, RelayId b, const Entry& e);
+  /// Member mask over ids for `nodes` (relays unknown here are skipped).
+  std::vector<std::uint64_t> member_mask(
+      const std::vector<dir::Fingerprint>& nodes) const;
+  /// Stored pairs with both ends in `mask`.
+  std::size_t present_pairs(const std::vector<std::uint64_t>& mask) const;
+  /// Keys of every entry older than `max_age` at `now`, each once, sorted.
+  std::vector<PairKey> expired_keys(TimePoint now, Duration max_age) const;
+  CanonicalOrder canonical_order() const;
 
   /// Append an index record for `k` at stamp `at` to the freshness wheel.
-  void wheel_insert(const Key& k, TimePoint at);
+  void wheel_insert(PairKey k, TimePoint at);
   /// Rebuild the wheel from entries_ once stale records outnumber live ones.
   void wheel_maybe_compact();
 
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::vector<Relay> relays_;
+  std::unordered_map<dir::Fingerprint, RelayId> id_of_;
+  std::unordered_map<PairKey, Entry, PairKeyHash> entries_;
 
   // Freshness wheel: measured_at (ns) -> pair keys recorded at that stamp,
   // bucket order ascending so expired_pairs() walks oldest-first and stops
@@ -202,7 +274,7 @@ class RttMatrix {
   // O(1) per mutation and enumeration is O(expired + garbage), never
   // O(size). The daemon stamps whole epochs with one clock value, so bucket
   // counts stay tiny in practice.
-  std::map<std::int64_t, std::vector<Key>> wheel_;
+  std::map<std::int64_t, std::vector<PairKey>> wheel_;
   std::size_t wheel_garbage_ = 0;
 };
 

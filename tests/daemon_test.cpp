@@ -198,57 +198,47 @@ TEST(ScanDaemonTest, ShardCountDoesNotChangeTheMatrix) {
   EXPECT_EQ(read_file(out1), read_file(out2));
 }
 
-TEST(ScanDaemonTest, IncrementalPlannerOnOrOffIsByteIdentical) {
-  // The incremental planner is a performance path, not a policy change: the
-  // daemon must produce the same artifacts with it on or off — including
-  // across a crash/resume, where a fresh process starts with an unprimed
-  // planner mid-sequence.
-  const double churn = 0.1;
-  const std::string inc_out = ::testing::TempDir() + "/daemon_inc.tingmx";
-  const std::string full_out = ::testing::TempDir() + "/daemon_full.tingmx";
+TEST(ScanDaemonTest, ResumeFromLoadedStoreIsByteIdentical) {
+  // Interrupt a churning run after its first checkpoint, so the resumed
+  // process plans from a store it loaded (relay ids in record order) rather
+  // than one it built; its artifacts must still equal an uninterrupted
+  // run's byte for byte.
+  // A third of the relays start absent, so later epochs have joins (new
+  // pairs) to measure.
+  scenario::DaemonWorldOptions world = small_world(61, 0.1);
+  world.churn.initially_absent = 0.3;
+  const std::string ref_out = ::testing::TempDir() + "/daemon_load_ref.tingmx";
+  const std::string cut_out = ::testing::TempDir() + "/daemon_load_cut.tingmx";
   {
-    scenario::TestbedDaemonEnvironment env(small_world(61, churn));
-    DaemonOptions opts = daemon_opts(inc_out, 3);
-    opts.incremental_planner = true;
-    ScanDaemon daemon(env, opts);
+    scenario::TestbedDaemonEnvironment env(world);
+    ScanDaemon daemon(env, daemon_opts(ref_out, 4));
     EXPECT_FALSE(daemon.run().interrupted);
   }
   {
-    scenario::TestbedDaemonEnvironment env(small_world(61, churn));
-    DaemonOptions opts = daemon_opts(full_out, 3);
-    opts.incremental_planner = false;
-    ScanDaemon daemon(env, opts);
-    EXPECT_FALSE(daemon.run().interrupted);
-  }
-  EXPECT_EQ(read_file(inc_out), read_file(full_out));
-  EXPECT_EQ(read_file(inc_out + ".halves"), read_file(full_out + ".halves"));
-
-  // Interrupt an incremental-planner run mid-epoch, resume it (unprimed
-  // planner against the persisted matrix), and compare again.
-  const std::string cut_out = ::testing::TempDir() + "/daemon_inc_cut.tingmx";
-  {
-    scenario::TestbedDaemonEnvironment env(small_world(61, churn));
+    scenario::TestbedDaemonEnvironment env(world);
     std::atomic<bool> stop{false};
-    DaemonOptions opts = daemon_opts(cut_out, 3);
-    opts.incremental_planner = true;
+    DaemonOptions opts = daemon_opts(cut_out, 4);
     opts.stop = &stop;
     ScanDaemon daemon(env, opts);
-    std::size_t results = 0;
+    bool checkpointed = false;
     const DaemonReport r = daemon.run(
-        {}, [&](std::size_t, std::size_t, const PairResult&) {
-          if (++results == 8) stop.store(true);
+        [&](const EpochStats&) { checkpointed = true; },
+        [&](std::size_t, std::size_t, const PairResult&) {
+          if (checkpointed) stop.store(true);
         });
     EXPECT_TRUE(r.interrupted);
+    ASSERT_GE(r.epochs.size(), 2u);
+    EXPECT_GT(r.epochs_completed, 0u);
   }
   {
-    scenario::TestbedDaemonEnvironment env(small_world(61, churn));
-    DaemonOptions opts = daemon_opts(cut_out, 3);
-    opts.incremental_planner = true;
+    scenario::TestbedDaemonEnvironment env(world);
+    DaemonOptions opts = daemon_opts(cut_out, 4);
     opts.resume = true;
     ScanDaemon daemon(env, opts);
     EXPECT_FALSE(daemon.run().interrupted);
   }
-  EXPECT_EQ(read_file(cut_out), read_file(inc_out));
+  EXPECT_EQ(read_file(cut_out), read_file(ref_out));
+  EXPECT_EQ(read_file(cut_out + ".halves"), read_file(ref_out + ".halves"));
 }
 
 TEST(ScanDaemonTest, JournalOffStillResumesAtEpochGranularity) {

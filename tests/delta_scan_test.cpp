@@ -1,7 +1,9 @@
 // Property tests for the consensus-delta planner: churn produces exactly
 // the new/expired pairs with no duplicates, priority order holds (new pairs
-// first, expired oldest-first), budgets cut from the back, and the
-// ConsensusDeltaTracker reports joins/leaves correctly.
+// first, expired oldest-first), budgets cut from the back, plan_delta equals
+// the all-pairs reference census under any node order, relay erasure and
+// store reload, and the ConsensusDeltaTracker reports joins/leaves
+// correctly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,54 @@ std::vector<dir::Fingerprint> node_set(std::size_t n) {
 }
 
 std::size_t all_pairs(std::size_t n) { return n * (n - 1) / 2; }
+
+/// The all-pairs census plan_delta replaced, kept as its reference: one
+/// entry() probe per node pair, new pairs in index order under the budget,
+/// then every expired pair fully sorted by expired_before and cut to the
+/// room the new pairs left.
+DeltaPlan reference_plan(const RttMatrix& matrix,
+                         const std::vector<dir::Fingerprint>& nodes,
+                         TimePoint now, const DeltaPlanOptions& options) {
+  DeltaPlan plan;
+  std::vector<ExpiredCandidate> expired;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      const RttMatrix::Entry* e = matrix.entry(nodes[i], nodes[j]);
+      if (e == nullptr) {
+        ++plan.new_pairs;
+        if (options.budget == 0 || plan.pairs.size() < options.budget)
+          plan.pairs.emplace_back(i, j);
+        else
+          ++plan.dropped_over_budget;
+      } else if (now - e->measured_at <= options.ttl) {
+        ++plan.fresh_pairs;
+      } else {
+        expired.push_back(ExpiredCandidate{i, j, e->measured_at});
+      }
+    }
+  }
+  plan.expired_pairs = expired.size();
+  std::sort(expired.begin(), expired.end(), expired_before);
+  std::size_t room = expired.size();
+  if (options.budget != 0)
+    room = std::min(room, options.budget - std::min(options.budget,
+                                                    plan.pairs.size()));
+  for (std::size_t k = 0; k < room; ++k)
+    plan.pairs.emplace_back(expired[k].i, expired[k].j);
+  plan.dropped_over_budget += expired.size() - room;
+  return plan;
+}
+
+/// plan_delta's contract: identical pairs, in identical order, and
+/// identical census counters versus the reference.
+void expect_same_plan(const DeltaPlan& got, const DeltaPlan& want,
+                      const char* label) {
+  EXPECT_EQ(got.pairs, want.pairs) << label;
+  EXPECT_EQ(got.new_pairs, want.new_pairs) << label;
+  EXPECT_EQ(got.expired_pairs, want.expired_pairs) << label;
+  EXPECT_EQ(got.fresh_pairs, want.fresh_pairs) << label;
+  EXPECT_EQ(got.dropped_over_budget, want.dropped_over_budget) << label;
+}
 
 /// No pair appears twice in a plan, in either orientation.
 void expect_no_duplicates(const DeltaPlan& plan) {
@@ -144,8 +194,8 @@ TEST(DeltaScanTest, BudgetTruncatesNewPairs) {
 }
 
 TEST(DeltaScanTest, BudgetedExpiredSelectionMatchesFullSort) {
-  // The bounded-heap cut must select exactly the same pairs, in the same
-  // order, as sorting every expired candidate and taking the oldest K.
+  // The bounded cut must select exactly the same pairs, in the same order,
+  // as sorting every expired candidate and taking the oldest K.
   const auto nodes = node_set(10);
   RttMatrix m;
   std::int64_t t = 0;
@@ -175,84 +225,69 @@ TEST(DeltaScanTest, PlanIsPureFunctionOfInputs) {
   EXPECT_EQ(p1.pairs, p2.pairs);
 }
 
-/// The incremental planner's equivalence contract: identical pairs and
-/// identical census counters versus plan_delta over the same inputs.
-void expect_same_plan(const DeltaPlan& inc, const DeltaPlan& full,
-                      const char* label) {
-  EXPECT_EQ(inc.pairs, full.pairs) << label;
-  EXPECT_EQ(inc.new_pairs, full.new_pairs) << label;
-  EXPECT_EQ(inc.expired_pairs, full.expired_pairs) << label;
-  EXPECT_EQ(inc.fresh_pairs, full.fresh_pairs) << label;
-  EXPECT_EQ(inc.dropped_over_budget, full.dropped_over_budget) << label;
-}
-
-TEST(DeltaScanTest, IncrementalUnprimedMatchesFullCensus) {
+TEST(DeltaScanTest, PlanMatchesReferenceCensus) {
+  // Missing, expired and fresh pairs together, planned unbudgeted, under a
+  // budget that cuts the expired tail, and under one that cuts new pairs.
   const auto nodes = node_set(8);
   RttMatrix m;
   m.set(nodes[1], nodes[4], 1.0, at(5), 1);   // expired
   m.set(nodes[2], nodes[6], 1.0, at(95), 1);  // fresh
+  m.set(nodes[0], nodes[7], 1.0, at(2), 1);   // expired, older
   DeltaPlanOptions opt;
   opt.ttl = Duration::seconds(10);
-  IncrementalDeltaPlanner planner;
-  EXPECT_FALSE(planner.primed());
-  const DeltaPlan full = plan_delta(m, nodes, at(100), opt);
-  const DeltaPlan inc =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(inc, full, "bootstrap census");
-  EXPECT_TRUE(planner.primed());
-  EXPECT_EQ(planner.backlog_pairs(), full.new_pairs);
-  // reset() forgets the backlog; the next call is a full census again.
-  planner.reset();
-  EXPECT_FALSE(planner.primed());
-  const DeltaPlan again =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(again, full, "post-reset census");
+  const std::size_t budgets[] = {0, 27, 3};
+  for (const std::size_t budget : budgets) {
+    opt.budget = budget;
+    char label[32];
+    std::snprintf(label, sizeof(label), "budget %zu", budget);
+    expect_same_plan(plan_delta(m, nodes, at(100), opt),
+                     reference_plan(m, nodes, at(100), opt), label);
+  }
 }
 
 TEST(DeltaScanTest, IncrementalMatchesFullAcrossChurnEpochs) {
-  // A 12-epoch randomized daemon life: membership churns (joins, leaves,
-  // rejoins), each epoch absorbs only a prefix of its plan (failures and
-  // budget cuts leave pairs missing), stamps age past the TTL, and budgets
-  // alternate between unlimited and tight. At every epoch the incremental
-  // plan must be identical to the from-scratch census.
+  // A 16-epoch randomized daemon life: membership churns (joins, leaves,
+  // rejoins) and the node order is reshuffled every epoch; each epoch
+  // absorbs only a prefix of its plan (failures and budget cuts leave pairs
+  // missing), stamps age past the TTL, budgets alternate between unlimited
+  // and tight, relays are erased outright, and halfway through the store is
+  // reloaded from its binary image (which reassigns every relay id). At
+  // every epoch plan_delta must equal the from-scratch census.
   Rng rng(1234);
   const std::size_t universe = 16;
   std::vector<bool> member(universe, false);
   for (std::size_t i = 0; i < 10; ++i) member[i] = true;
   RttMatrix m;
-  IncrementalDeltaPlanner planner;
-  ConsensusDeltaTracker tracker;
   DeltaPlanOptions opt;
   opt.ttl = Duration::seconds(30);
-  for (int epoch = 0; epoch < 12; ++epoch) {
-    // Contract (a): survivors keep construction-order enumeration.
+  std::size_t expired_seen = 0;
+  for (int epoch = 0; epoch < 16; ++epoch) {
     std::vector<dir::Fingerprint> nodes;
     for (std::size_t i = 0; i < universe; ++i)
       if (member[i]) nodes.push_back(fp(i));
-    const auto delta = tracker.observe(nodes);
+    rng.shuffle(nodes);
     opt.budget = (epoch % 3 == 0)
                      ? 0
                      : static_cast<std::size_t>(rng.uniform_int(1, 25));
     const TimePoint now = at(100 + epoch * 10);
-    const DeltaPlan full = plan_delta(m, nodes, now, opt);
-    const DeltaPlan inc =
-        planner.plan_delta_incremental(m, nodes, delta.joined, now, opt);
+    const DeltaPlan want = reference_plan(m, nodes, now, opt);
+    const DeltaPlan got = plan_delta(m, nodes, now, opt);
     char label[32];
     std::snprintf(label, sizeof(label), "epoch %d", epoch);
-    expect_same_plan(inc, full, label);
-    expect_no_duplicates(inc);
+    expect_same_plan(got, want, label);
+    expect_no_duplicates(got);
+    expired_seen += want.expired_pairs;
     // Absorb a random prefix of the plan — the daemon stamps at the epoch
     // clock, and an interrupted epoch leaves the tail unmeasured.
     const std::size_t done =
-        full.pairs.empty()
+        want.pairs.empty()
             ? 0
             : static_cast<std::size_t>(rng.uniform_int(
-                  0, static_cast<std::int64_t>(full.pairs.size())));
+                  0, static_cast<std::int64_t>(want.pairs.size())));
     for (std::size_t k = 0; k < done; ++k)
-      m.set(nodes[full.pairs[k].first], nodes[full.pairs[k].second], 5.0, now,
-            1);
-    // Flip a couple of memberships (leaves keep their matrix entries, per
-    // contract (c); rejoins arrive through the tracker's joined set).
+      m.set(nodes[want.pairs[k].first], nodes[want.pairs[k].second], 5.0,
+            now, 1);
+    // Flip a couple of memberships; leaves keep their matrix entries.
     for (int c = 0; c < 2; ++c) {
       const auto v =
           static_cast<std::size_t>(rng.uniform_int(0, universe - 1));
@@ -260,15 +295,21 @@ TEST(DeltaScanTest, IncrementalMatchesFullAcrossChurnEpochs) {
     }
     if (std::count(member.begin(), member.end(), true) < 2)
       member[0] = member[1] = true;
+    // Now and then a relay's estimates are dropped outright.
+    if (epoch % 4 == 1)
+      m.erase_relay(fp(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(universe) - 1))));
+    // A restarted process loads the store with ids in record order.
+    if (epoch == 8) m = RttMatrix::from_bin(m.to_bin());
   }
+  EXPECT_GT(expired_seen, 0u);  // the TTL path ran, not just new pairs
 }
 
 TEST(DeltaScanTest, EqualStampBudgetCutIsDeterministicPrefix) {
   // The daemon restamps a whole epoch with one clock value, so most expired
   // candidates tie on measured_at. The tie must break on the pair index:
-  // the budgeted plan is exactly the unbudgeted plan's prefix, on both the
-  // full-sort path and the bounded-heap path, and the incremental planner
-  // agrees.
+  // the budgeted plan is exactly the unbudgeted plan's prefix, and the
+  // reference census agrees.
   const auto nodes = node_set(9);
   RttMatrix m;
   for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -283,10 +324,8 @@ TEST(DeltaScanTest, EqualStampBudgetCutIsDeterministicPrefix) {
   ASSERT_EQ(full.pairs.size(), all_pairs(9));
   ASSERT_EQ(cut.pairs.size(), 7u);
   for (std::size_t k = 0; k < 7; ++k) EXPECT_EQ(cut.pairs[k], full.pairs[k]);
-  IncrementalDeltaPlanner planner;
-  const DeltaPlan inc =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), bounded);
-  expect_same_plan(inc, cut, "equal-stamp budgeted");
+  expect_same_plan(cut, reference_plan(m, nodes, at(100), bounded),
+                   "equal-stamp budgeted");
 }
 
 TEST(DeltaScanTest, ExpiredBeforeIsStrictTotalOrder) {
@@ -301,40 +340,37 @@ TEST(DeltaScanTest, ExpiredBeforeIsStrictTotalOrder) {
   EXPECT_FALSE(expired_before(a, d));  // irreflexive on equals
 }
 
-TEST(DeltaScanTest, IncrementalFreshPlannerRederivesCrashedEpoch) {
-  // A crash-resumed daemon process constructs a brand-new planner against
-  // the persisted matrix. Its first (unprimed) call must re-derive exactly
-  // the worklist the crashed process was running — and re-planning the same
-  // epoch twice (a stale journal replay) is idempotent.
+TEST(DeltaScanTest, ReloadedStoreRederivesCrashedEpoch) {
+  // A crash-resumed daemon process loads the persisted store, whose relay
+  // ids follow record order rather than the order the crashed process
+  // inserted pairs in. Its plan must be exactly the worklist the crashed
+  // process was running — and re-planning the same epoch (a stale journal
+  // replay) is idempotent.
   const auto nodes = node_set(10);
-  RttMatrix m;
+  RttMatrix built;
   std::int64_t t = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+  for (std::size_t i = nodes.size(); i-- > 0;)
+    for (std::size_t j = 0; j < i; ++j) {
       t = (t * 31 + 17) % 90;
       if (t % 3 == 0) continue;  // leave holes (missing pairs)
-      m.set(nodes[i], nodes[j], 1.0, at(t), 1);
+      built.set(nodes[i], nodes[j], 1.0, at(t), 1);
     }
   DeltaPlanOptions opt;
   opt.ttl = Duration::seconds(25);
   opt.budget = 13;
-  IncrementalDeltaPlanner survivor;
-  (void)survivor.plan_delta_incremental(m, nodes, {}, at(60), opt);
-  const DeltaPlan primed =
-      survivor.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  IncrementalDeltaPlanner restarted;
-  const DeltaPlan resumed =
-      restarted.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  const DeltaPlan full = plan_delta(m, nodes, at(100), opt);
-  expect_same_plan(primed, full, "primed replan");
-  expect_same_plan(resumed, full, "fresh-planner resume");
-  // Stale-journal replay: same inputs again, same plan again.
-  const DeltaPlan replay =
-      restarted.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(replay, full, "journal replay");
+  const RttMatrix loaded = RttMatrix::from_bin(built.to_bin());
+  const DeltaPlan crashed = plan_delta(built, nodes, at(100), opt);
+  const DeltaPlan resumed = plan_delta(loaded, nodes, at(100), opt);
+  expect_same_plan(crashed, reference_plan(built, nodes, at(100), opt),
+                   "building process");
+  expect_same_plan(resumed, crashed, "reloaded store");
+  expect_same_plan(plan_delta(loaded, nodes, at(100), opt), crashed,
+                   "journal replay");
+  EXPECT_GT(crashed.new_pairs, 0u);
+  EXPECT_GT(crashed.expired_pairs, 0u);
 }
 
-TEST(DeltaScanTest, IncrementalResetRequiredAfterEraseRelay) {
+TEST(DeltaScanTest, PlanSeesHolesAfterEraseRelay) {
   const auto nodes = node_set(6);
   RttMatrix m;
   for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -342,17 +378,14 @@ TEST(DeltaScanTest, IncrementalResetRequiredAfterEraseRelay) {
       m.set(nodes[i], nodes[j], 1.0, at(95), 1);
   DeltaPlanOptions opt;
   opt.ttl = Duration::seconds(10);
-  IncrementalDeltaPlanner planner;
-  (void)planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  // erase_relay() removes entries, which the backlog cannot observe —
-  // contract (c) says reset. After reset the census sees the new holes.
+  EXPECT_TRUE(plan_delta(m, nodes, at(100), opt).pairs.empty());
+  // erase_relay() clears the relay's presence bits in every row; the very
+  // next plan sees the holes, with no planner state to reset.
   m.erase_relay(nodes[2]);
-  planner.reset();
-  const DeltaPlan full = plan_delta(m, nodes, at(100), opt);
-  const DeltaPlan inc =
-      planner.plan_delta_incremental(m, nodes, {}, at(100), opt);
-  expect_same_plan(inc, full, "post-erase census");
-  EXPECT_EQ(full.new_pairs, 5u);  // every pair touching the erased relay
+  const DeltaPlan plan = plan_delta(m, nodes, at(100), opt);
+  expect_same_plan(plan, reference_plan(m, nodes, at(100), opt),
+                   "post-erase census");
+  EXPECT_EQ(plan.new_pairs, 5u);  // every pair touching the erased relay
 }
 
 TEST(DeltaScanTest, TrackerReportsJoinsAndLeaves) {

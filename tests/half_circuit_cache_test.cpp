@@ -1,8 +1,8 @@
 // Tests for HalfCircuitCache (memoized R_Cx/R_Cy entries: freshness TTL,
-// churn invalidation, freshest-wins merging, CSV persistence) and for the
-// measurer behaviors the cache composes with: memoized half probes,
-// adaptive sample early-stop, and estimate_with_prefix's clamping when raw
-// sample counts differ across probes.
+// churn invalidation, freshest-wins merging, CSV and TINGHCX1 persistence)
+// and for the measurer behaviors the cache composes with: memoized half
+// probes, adaptive sample early-stop, and estimate_with_prefix's clamping
+// when raw sample counts differ across probes.
 #include <gtest/gtest.h>
 
 #include "crypto/x25519.h"
@@ -102,6 +102,32 @@ TEST(HalfCircuitCacheTest, CsvRoundTrips) {
   EXPECT_EQ(e->rtt_ms, 12.25);
   EXPECT_EQ(e->measured_at.ns(), 777);
   EXPECT_EQ(e->samples, 200);
+}
+
+TEST(HalfCircuitCacheTest, BinRoundTripsAndRejectsCorruptInput) {
+  HalfCircuitCache c;
+  c.store(fake_fp(1), fake_fp(2), 0.1 + 0.2, TimePoint::from_ns(777), 200);
+  c.store(fake_fp(1), fake_fp(3), 0.5, TimePoint{}, 15);
+  const std::string bin = c.to_bin();
+  ASSERT_EQ(bin.size(), 16u + 2 * 60);
+  const HalfCircuitCache back = HalfCircuitCache::from_bin(bin);
+  EXPECT_EQ(back.size(), 2u);
+  EXPECT_EQ(back.to_bin(), bin);  // exact bits, not CSV's 6 digits
+  EXPECT_EQ(back.lookup(fake_fp(1), fake_fp(2))->rtt_ms, 0.1 + 0.2);
+
+  EXPECT_THROW(HalfCircuitCache::from_bin(bin.substr(0, bin.size() - 1)),
+               CheckError);
+  std::string bad_magic = bin;
+  bad_magic[0] = 'X';
+  EXPECT_THROW(HalfCircuitCache::from_bin(bad_magic), CheckError);
+  // One record behind a count of 2^62 + 1: 16 + count * 60 wraps to 76,
+  // the image's real size, so a multiplying size check would then read
+  // records far past the buffer.
+  std::string hostile = bin.substr(0, 16 + 60);
+  hostile[8] = 1;
+  for (int i = 9; i < 15; ++i) hostile[i] = 0;
+  hostile[15] = 0x40;
+  EXPECT_THROW(HalfCircuitCache::from_bin(hostile), CheckError);
 }
 
 TEST(HalfCircuitCacheTest, MalformedCsvRowsAreRejected) {

@@ -126,6 +126,12 @@ TEST(SparseRttMatrixTest, BinRejectsCorruptInput) {
   bad_magic[0] = 'X';
   EXPECT_THROW(RttMatrix::from_bin(bad_magic), CheckError);
   EXPECT_THROW(RttMatrix::from_bin("short"), CheckError);
+  // A hostile record count whose byte size wraps 64 bits: 16 + 2^62 * 60
+  // is 16 mod 2^64, so a multiplying size check would accept this header.
+  std::string huge(RttMatrix::kBinMagic, 8);
+  for (int i = 0; i < 8; ++i)
+    huge.push_back(static_cast<char>(i == 7 ? 0x40 : 0));
+  EXPECT_THROW(RttMatrix::from_bin(huge), CheckError);
 }
 
 TEST(SparseRttMatrixTest, MergeIsCommutativeAndAssociative) {
@@ -283,9 +289,11 @@ TEST(SparseRttMatrixTest, AggregatesMatchDense) {
 }
 
 TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
-  // The freshness wheel (lazy invalidation + periodic compaction) must stay
-  // equivalent to re-scanning every entry, through any interleaving of
-  // inserts, overwrites, restamps, merges, and relay erasure.
+  // The freshness wheel (lazy invalidation + periodic compaction) and the
+  // presence rows must stay equivalent to re-scanning every entry, through
+  // any interleaving of inserts, overwrites, restamps, merges, and relay
+  // erasure: expired_pairs(), coverage() and nodes() agree with a
+  // brute-force reference, and the binary image reloads to itself.
   Rng rng(911);
   const std::size_t n = 14;
   RttMatrix m;
@@ -314,10 +322,13 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
       reference[key] = t;
     }
     if (round % 7 == 3) {
-      // Merge a batch in. merge() is freshest-wins, and the expiry check
-      // only compares stamps, so the reference keeps the max stamp per pair
-      // (the equal-stamp value tiebreak cannot change measured_at).
+      // Merge a batch in. Within the batch set() overwrites, so the batch
+      // holds each pair's last stamp; merge() is freshest-wins, and the
+      // expiry check only compares stamps, so the reference keeps the max
+      // of the two (the equal-stamp value tiebreak cannot change
+      // measured_at).
       RttMatrix other;
+      std::map<std::pair<std::size_t, std::size_t>, std::int64_t> batch;
       for (int k = 0; k < 10; ++k) {
         const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
         auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
@@ -325,6 +336,9 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
         const std::pair<std::size_t, std::size_t> key = std::minmax(i, j);
         const auto t = static_cast<std::int64_t>(rng.uniform_int(1, 200));
         other.set(fp(key.first), fp(key.second), 500.0 + k, at(t), 1);
+        batch[key] = t;
+      }
+      for (const auto& [key, t] : batch) {
         const auto it = reference.find(key);
         if (it == reference.end() || it->second < t) reference[key] = t;
       }
@@ -337,7 +351,41 @@ TEST(SparseRttMatrixTest, ExpiredPairsMatchBruteForceUnderRandomOps) {
         return kv.first.first == victim || kv.first.second == victim;
       });
     }
-    check(210, static_cast<std::int64_t>(rng.uniform_int(1, 220)));
+    const auto ttl_s = static_cast<std::int64_t>(rng.uniform_int(1, 220));
+    check(210, ttl_s);
+
+    // Coverage over a random member set, including a relay never stored.
+    std::vector<dir::Fingerprint> members = {fp(n + 3)};
+    std::vector<bool> is_member(n, false);
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng.uniform() < 0.6) {
+        members.push_back(fp(i));
+        is_member[i] = true;
+      }
+    RttMatrix::CoverageCount want;
+    want.total = members.size() * (members.size() - 1) / 2;
+    std::set<dir::Fingerprint> stored;
+    for (const auto& [k, t] : reference) {
+      stored.insert(fp(k.first));
+      stored.insert(fp(k.second));
+      if (!is_member[k.first] || !is_member[k.second]) continue;
+      if (210 - t <= ttl_s) {
+        ++want.fresh;
+      } else {
+        ++want.stale;
+      }
+    }
+    want.missing = want.total - want.fresh - want.stale;
+    const auto got = m.coverage(members, at(210), Duration::seconds(ttl_s));
+    EXPECT_EQ(got.total, want.total) << "round " << round;
+    EXPECT_EQ(got.fresh, want.fresh) << "round " << round;
+    EXPECT_EQ(got.stale, want.stale) << "round " << round;
+    EXPECT_EQ(got.missing, want.missing) << "round " << round;
+    EXPECT_EQ(m.nodes(),
+              std::vector<dir::Fingerprint>(stored.begin(), stored.end()))
+        << "round " << round;
+    const std::string image = m.to_bin();
+    EXPECT_EQ(RttMatrix::from_bin(image).to_bin(), image) << "round " << round;
   }
 }
 

@@ -12,6 +12,7 @@
 //
 // Matrices written by `scan` feed `tiv`, `deanon`, and `coords`.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
@@ -78,12 +79,10 @@ struct Args {
     return a;
   }
   long num(const std::string& key, long fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::atol(it->second.c_str());
+    return parsed(key, fallback);
   }
   double real(const std::string& key, double fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::atof(it->second.c_str());
+    return parsed(key, fallback);
   }
   std::string str(const std::string& key, const std::string& fallback) const {
     auto it = kv.find(key);
@@ -94,6 +93,24 @@ struct Args {
     if (kv.contains("no-" + key)) return false;
     auto it = kv.find(key);
     return it == kv.end() ? fallback : it->second != "0";
+  }
+
+ private:
+  /// The whole value must parse as a T; anything else ("12x", "abc") is a
+  /// usage error (exit 2), never a silent default. Commands read their
+  /// numeric flags before doing any work, so nothing has been written yet.
+  template <typename T>
+  T parsed(const std::string& key, T fallback) const {
+    auto it = kv.find(key);
+    if (it == kv.end()) return fallback;
+    const std::string& v = it->second;
+    T out{};
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc{} || end != v.data() + v.size()) {
+      std::fprintf(stderr, "bad value for --%s: %s\n", key.c_str(), v.c_str());
+      std::exit(2);
+    }
+    return out;
   }
 };
 
@@ -481,7 +498,8 @@ int cmd_daemon(const Args& args) {
   const bool use_half_cache = args.flag("half-cache", !synthetic);
   const bool adaptive = args.flag("adaptive-samples", true);
   const bool use_journal = args.flag("journal", true);
-  const bool incremental = args.flag("incremental", true);
+  const int quarantine_threshold =
+      static_cast<int>(args.num("quarantine-threshold", 3));
   if (relays < 2 || epochs < 1 || shards < 1 || epoch_hours <= 0 ||
       ttl_hours <= 0) {
     std::fprintf(stderr, "daemon: bad sizing flags\n");
@@ -500,8 +518,8 @@ int cmd_daemon(const Args& args) {
     seo.churn.churn_rate = churn;
     seo.churn.rejoin_rate = rejoin;
     seo.churn.initially_absent = absent;
-    seo.noise_ms = noise;
-    seo.failure_rate = fail_rate;
+    seo.noise_ms = args.real("noise", 0.5);
+    seo.failure_rate = args.real("fail-rate", 0.0);
     seo.samples = samples;
     auto senv = std::make_unique<scenario::SyntheticDaemonEnvironment>(seo);
     std::printf("daemon: synthetic topology (%zu relays, %zu pairs) built "
@@ -535,8 +553,8 @@ int cmd_daemon(const Args& args) {
     // wrong testbed or measurement config fails loudly instead of
     // corrupting it. --shards is deliberately absent: deterministic output
     // is shard-count-independent, so a store may resume under a different
-    // thread count. Likewise --journal / --incremental: neither changes
-    // the artifacts (pinned by tests), only crash granularity / plan cost.
+    // thread count. Likewise --journal: it does not change the artifacts
+    // (pinned by tests), only crash granularity.
     std::snprintf(tag, sizeof(tag),
                   "relays=%zu;churn=%.6f;rejoin=%.6f;absent=%.6f;samples=%d;"
                   "adaptive=%d;half=%d;faults=%s",
@@ -555,11 +573,9 @@ int cmd_daemon(const Args& args) {
   opt.seed = seed;
   opt.half_cache = use_half_cache;
   opt.journal = use_journal;
-  opt.incremental_planner = incremental;
   opt.stop = &g_stop;
   opt.engine.quarantine.enabled = args.flag("quarantine", true);
-  opt.engine.quarantine.threshold =
-      static_cast<int>(args.num("quarantine-threshold", 3));
+  opt.engine.quarantine.threshold = quarantine_threshold;
   opt.config_tag = tag;
 
   std::signal(SIGINT, handle_stop);
@@ -609,14 +625,18 @@ void print_circuit(const serve::PathServer::Circuit& c) {
 
 /// Load a matrix, publish it into a PathServer once, and answer one query.
 int cmd_query(const Args& args) {
-  const meas::RttMatrix matrix =
-      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
   serve::ServeOptions so;
   so.candidates_per_length =
       static_cast<std::size_t>(args.num("candidates", 2000));
   so.max_length = static_cast<std::size_t>(args.num("max-length", 6));
   so.seed = static_cast<std::uint64_t>(args.num("seed", 1));
   so.float32_snapshot = args.flag("float32", false);
+  const long through = args.num("through", 0);
+  const auto k = static_cast<std::size_t>(args.num("k", 5));
+  const auto length = static_cast<std::size_t>(args.num("length", 3));
+  const auto want = static_cast<std::size_t>(args.num("want", 5));
+  const meas::RttMatrix matrix =
+      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
   serve::PathServer server(so);
   server.publish(matrix);
   const auto st = server.state();
@@ -667,9 +687,8 @@ int cmd_query(const Args& args) {
     return 0;
   }
   if (args.kv.contains("through")) {
-    const auto* relay = node_at(args.num("through", 0));
+    const auto* relay = node_at(through);
     if (relay == nullptr) return 2;
-    const auto k = static_cast<std::size_t>(args.num("k", 5));
     const auto circuits = server.fastest_through(*relay, k);
     std::printf("fastest %zu 3-hop circuits with %s as middle:\n",
                 circuits.size(), relay->short_name().c_str());
@@ -682,8 +701,6 @@ int cmd_query(const Args& args) {
       std::fprintf(stderr, "--band wants lo:hi in ms\n");
       return 2;
     }
-    const auto length = static_cast<std::size_t>(args.num("length", 3));
-    const auto want = static_cast<std::size_t>(args.num("want", 5));
     const auto circuits = server.circuits_in_band(length, lo, hi, want);
     std::printf("~%.3g circuits of length %zu in [%.0f, %.0f]ms; sampled:\n",
                 server.options_in_band(length, lo, hi), length, lo, hi);
@@ -720,6 +737,7 @@ int cmd_serve(const Args& args) {
   const std::string faults = merged_fault_spec(scn, args);
   const std::string out = args.str("out", "daemon.tingmx");
   const bool resume = args.flag("resume", false);
+  const auto candidates = static_cast<std::size_t>(args.num("candidates", 500));
   if (relays < 2 || epochs < 1 || shards < 1 || epoch_hours <= 0 ||
       ttl_hours <= 0) {
     std::fprintf(stderr, "serve: bad sizing flags\n");
@@ -779,13 +797,11 @@ int cmd_serve(const Args& args) {
   opt.seed = seed;
   opt.half_cache = args.flag("half-cache", !synthetic);
   opt.journal = args.flag("journal", true);
-  opt.incremental_planner = args.flag("incremental", true);
   opt.stop = &g_stop;
   opt.config_tag = tag;
 
   serve::ServeOptions so;
-  so.candidates_per_length =
-      static_cast<std::size_t>(args.num("candidates", 500));
+  so.candidates_per_length = candidates;
   so.seed = opt.seed;
   so.float32_snapshot = args.flag("float32", false);
   serve::PathServer server(so);
@@ -884,9 +900,9 @@ int cmd_tiv(const Args& args) {
 }
 
 int cmd_deanon(const Args& args) {
+  const int runs = static_cast<int>(args.num("runs", 300));
   const meas::RttMatrix matrix =
       meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
-  const int runs = static_cast<int>(args.num("runs", 300));
   analysis::DeanonWorld world;
   world.nodes = matrix.nodes();
   world.matrix = &matrix;
@@ -933,12 +949,13 @@ int cmd_deanon(const Args& args) {
 }
 
 int cmd_coords(const Args& args) {
+  const auto seed = static_cast<std::uint64_t>(args.num("seed", 2));
+  const long percent = args.num("percent", 100);
   const meas::RttMatrix matrix =
       meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
   analysis::VivaldiSystem vivaldi;
-  Rng rng(static_cast<std::uint64_t>(args.num("seed", 2)));
-  vivaldi.fit(matrix, matrix.nodes(), rng,
-              args.num("percent", 100) / 100.0);
+  Rng rng(seed);
+  vivaldi.fit(matrix, matrix.nodes(), rng, percent / 100.0);
   const auto errs = vivaldi.relative_errors(matrix);
   std::printf("vivaldi embedding: relative error median %.1f%%, p90 %.1f%%\n",
               100 * quantile(errs, 0.5), 100 * quantile(errs, 0.9));
@@ -1107,11 +1124,11 @@ void usage() {
       "  (--synthetic [N] answers pairs from the topology's base-RTT table plus\n"
       "   deterministic jitter [--noise ms] and faults [--fail-rate p] — no\n"
       "   circuit simulation, so daemon logic runs at the paper's full\n"
-      "   consensus: ting daemon --synthetic 6000 --budget 500000. Epochs are\n"
-      "   planned incrementally in O(churn + expired + budget) rather than by\n"
-      "   an all-pairs census; --no-incremental restores the full census\n"
-      "   [identical plans, pinned by tests], --no-journal trades pair-level\n"
-      "   crash resume for epoch-level to skip per-record fsyncs)\n"
+      "   consensus: ting daemon --synthetic 6000 --budget 500000. Each epoch\n"
+      "   is planned off the store's per-relay presence bitsets and freshness\n"
+      "   index, with no per-pair hash probe, rather than by an all-pairs\n"
+      "   census; --no-journal trades pair-level crash resume for epoch-level\n"
+      "   to skip per-record fsyncs)\n"
       "  serve     daemon + path-selection serving      (--relays --epochs --budget --churn\n"
       "                                                  --samples --shards --candidates\n"
       "                                                  --out --resume --synthetic [N]\n"
