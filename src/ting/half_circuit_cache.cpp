@@ -4,21 +4,12 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "ting/bin_codec.h"
 #include "util/assert.h"
 #include "util/atomic_file.h"
-#include "util/bytes.h"
 
 namespace ting::meas {
-
-namespace {
-
-constexpr const char* kCsvHeader =
-    "host_fp,relay_fp,rtt_ms,measured_at_ns,samples";
-
-}  // namespace
 
 void HalfCircuitCache::store(const dir::Fingerprint& host_w,
                              const dir::Fingerprint& relay, double rtt_ms,
@@ -71,66 +62,18 @@ void HalfCircuitCache::merge_freshest(const HalfCircuitCache& other) {
   }
 }
 
-std::string HalfCircuitCache::to_csv() const {
-  std::ostringstream os;
-  os << kCsvHeader << "\n";
+void HalfCircuitCache::overwrite(const HalfCircuitCache& other) {
+  for (const auto& [k, v] : other.entries_) entries_[k] = v;
+}
+
+HalfCircuitCache HalfCircuitCache::stores_since(
+    const HalfCircuitCache& base) const {
+  HalfCircuitCache out;
   for (const auto& [k, v] : entries_) {
-    os << k.first.hex() << "," << k.second.hex() << "," << v.rtt_ms << ","
-       << v.measured_at.ns() << "," << v.samples << "\n";
+    const auto it = base.entries_.find(k);
+    if (it == base.entries_.end() || !(it->second == v)) out.entries_[k] = v;
   }
-  return os.str();
-}
-
-HalfCircuitCache HalfCircuitCache::from_csv(const std::string& csv) {
-  const std::vector<std::string> lines = split(csv, '\n');
-  // A file without its header would otherwise lose its first entry.
-  TING_CHECK_MSG(lines.front() == kCsvHeader,
-                 "half-circuit cache CSV line 1 is not the header \""
-                     << kCsvHeader << "\": " << lines.front());
-  HalfCircuitCache c;
-  for (std::size_t n = 1; n < lines.size(); ++n) {
-    const std::string& line = lines[n];
-    if (trim(line).empty()) continue;
-    const auto cols = split(line, ',');
-    TING_CHECK_MSG(cols.size() == 5, "bad half-circuit cache row: " << line);
-    // Same strict parsing as RttMatrix::from_csv: re-raise stod/stoll/stoi
-    // failures as CheckError naming the line, and reject trailing junk.
-    double rtt_ms = 0;
-    long long at_ns = 0;
-    int samples = 0;
-    bool ok = false;
-    try {
-      std::size_t pos = 0;
-      rtt_ms = std::stod(cols[2], &pos);
-      if (pos == cols[2].size()) {
-        at_ns = std::stoll(cols[3], &pos);
-        if (pos == cols[3].size()) {
-          samples = std::stoi(cols[4], &pos);
-          ok = pos == cols[4].size();
-        }
-      }
-    } catch (const std::invalid_argument&) {
-    } catch (const std::out_of_range&) {
-    }
-    TING_CHECK_MSG(ok, "bad half-circuit cache row: " << line);
-    c.store(dir::Fingerprint::from_hex(cols[0]),
-            dir::Fingerprint::from_hex(cols[1]), rtt_ms,
-            TimePoint::from_ns(at_ns), samples);
-  }
-  return c;
-}
-
-void HalfCircuitCache::save_csv(const std::string& path) const {
-  // Crash-safe replacement, same rationale as RttMatrix::save_csv.
-  atomic_write_file(path, to_csv());
-}
-
-HalfCircuitCache HalfCircuitCache::load_csv(const std::string& path) {
-  std::ifstream f(path);
-  TING_CHECK_MSG(f.good(), "cannot open " << path);
-  std::stringstream buf;
-  buf << f.rdbuf();
-  return from_csv(buf.str());
+  return out;
 }
 
 std::string HalfCircuitCache::to_bin() const {

@@ -14,8 +14,8 @@
 // relay: path latency is drawn per host pair, so a half-circuit minimum
 // observed from one measurement host is not valid for another even when
 // both sit in the same rack. Staleness mirrors RttMatrix::is_fresh
-// (virtual-time timestamps, max-age TTL), persistence uses the same strict
-// CSV idiom, and a churned relay's entries are dropped when the scan
+// (virtual-time timestamps, max-age TTL), persistence is the exact-bits
+// TINGHCX1 image, and a churned relay's entries are dropped when the scan
 // engines re-resolve it — a relay that left and rejoined the consensus may
 // have moved.
 #pragma once
@@ -37,6 +37,8 @@ class HalfCircuitCache {
     double rtt_ms = 0;
     TimePoint measured_at;
     int samples = 0;
+
+    bool operator==(const Entry&) const = default;
   };
 
   explicit HalfCircuitCache(
@@ -67,10 +69,18 @@ class HalfCircuitCache {
 
   /// Copy every entry of `other` into this cache, keeping whichever side's
   /// entry is fresher (larger measured_at; ties keep the existing entry).
-  /// This is the scan engine's post-join merge of its per-world copies:
-  /// deterministic worlds store identical values with zero timestamps, so
-  /// the merge is order-independent there by construction.
+  /// The scan engine combines its worlds' stores this way: deterministic
+  /// worlds store identical values with zero timestamps, so the result is
+  /// order-independent there by construction.
   void merge_freshest(const HalfCircuitCache& other);
+  /// Copy every entry of `other` into this cache, replacing ours whatever
+  /// the stamps: `other` holds stores made after ours (a scan world's, or a
+  /// journal's), and an equal stamp must not keep a half that was dropped
+  /// and measured again after churn.
+  void overwrite(const HalfCircuitCache& other);
+  /// The entries `base` lacks or holds with a different value: what a scan
+  /// world stored into its private copy of `base`.
+  HalfCircuitCache stores_since(const HalfCircuitCache& base) const;
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
@@ -78,7 +88,7 @@ class HalfCircuitCache {
 
   /// Observer invoked after every store() — the scan journal's hook for
   /// recording half-circuit measurements as they land. Deliberately NOT
-  /// fired by from_csv / merge_freshest / copy construction: those move
+  /// fired by from_bin / the merges / copy construction: those move
   /// already-recorded entries around, and re-observing them would duplicate
   /// journal records. The observer is copied along with the cache, so the
   /// scan engine's per-world copies keep journaling (the journal itself is
@@ -90,20 +100,13 @@ class HalfCircuitCache {
     store_observer_ = std::move(observer);
   }
 
-  /// CSV with header "host_fp,relay_fp,rtt_ms,measured_at_ns,samples";
-  /// ordered-map iteration keeps the output independent of insertion order.
-  std::string to_csv() const;
-  static HalfCircuitCache from_csv(const std::string& csv);
-  void save_csv(const std::string& path) const;
-  static HalfCircuitCache load_csv(const std::string& path);
-
-  /// Compact exact-bits binary image (magic "TINGHCX1", u64 count, fixed
-  /// 60-byte little-endian records in key order). CSV prints 6 significant
-  /// digits, which perturbs resumed values; the daemon checkpoints halves in
-  /// this format so a resumed run memoizes bit-identical R_Cx values and its
-  /// final matrix matches an uninterrupted run byte-for-byte. Loading does
-  /// not fire the store observer (same rationale as from_csv). max_age is
-  /// not serialized — it is the consumer's policy, not the data's.
+  /// The only persisted form: a compact exact-bits binary image (magic
+  /// "TINGHCX1", u64 count, fixed 60-byte little-endian records in key
+  /// order, so equal caches serialize to equal bytes). Exact bits are what
+  /// let a re-scan or a resumed run memoize the very R_Cx values a fresh
+  /// probe would measure, so its matrix matches byte-for-byte. Loading does
+  /// not fire the store observer. max_age is not serialized — it is the
+  /// consumer's policy, not the data's.
   std::string to_bin() const;
   static HalfCircuitCache from_bin(const std::string& bin);
   void save_bin(const std::string& path) const;

@@ -290,7 +290,9 @@ std::size_t ScanJournal::ok_pairs() const {
 void ScanJournal::restore(RttMatrix& matrix, HalfCircuitCache* halves) const {
   const std::lock_guard<std::mutex> lock(mu_);
   matrix.merge(mirror_matrix_);
-  if (halves != nullptr) halves->merge_freshest(mirror_halves_);
+  // The journal's halves were stored after whatever `halves` was loaded
+  // from, so they replace it even on an equal stamp.
+  if (halves != nullptr) halves->overwrite(mirror_halves_);
 }
 
 void ScanJournal::append_line_locked(const std::string& body) {
@@ -358,7 +360,7 @@ void ScanJournal::checkpoint_locked() {
   if (checkpoint_matrix_path_.empty()) return;
   atomic_write_file(checkpoint_matrix_path_, mirror_matrix_.to_csv());
   if (!checkpoint_halves_path_.empty())
-    atomic_write_file(checkpoint_halves_path_, mirror_halves_.to_csv());
+    atomic_write_file(checkpoint_halves_path_, mirror_halves_.to_bin());
   pair_records_since_checkpoint_ = 0;
   ++checkpoints_written_;
 }

@@ -125,6 +125,7 @@ class ScanJournal {
 
   /// Seed `matrix` (and `halves`, if non-null) from the recovered records —
   /// the resume path's way of rebuilding scan state with exact bit patterns.
+  /// Recovered halves replace the entries `halves` already holds.
   void restore(RttMatrix& matrix, HalfCircuitCache* halves) const;
 
   // ---- appends (thread-safe; one fsync per record) -------------------------
@@ -133,10 +134,10 @@ class ScanJournal {
   void record_quarantine(const QuarantineRecord& r);
 
   // ---- periodic atomic checkpoints -----------------------------------------
-  /// Every `every_pairs` pair records, atomically rewrite the matrix (and,
-  /// if `halves_path` is non-empty, the half-circuit cache) from the
-  /// journal's mirrors. Pass every_pairs = 0 to disable cadence-based
-  /// checkpoints (checkpoint_now still works).
+  /// Every `every_pairs` pair records, atomically rewrite the matrix as CSV
+  /// (and, if `halves_path` is non-empty, the half-circuit cache as
+  /// TINGHCX1) from the journal's mirrors. Pass every_pairs = 0 to disable
+  /// cadence-based checkpoints (checkpoint_now still works).
   void enable_checkpoints(std::string matrix_path, std::string halves_path,
                           std::size_t every_pairs);
   /// Write a checkpoint immediately (graceful-shutdown flush).

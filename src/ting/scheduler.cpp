@@ -1138,9 +1138,17 @@ ScanReport ParallelScanner::scan_pairs(
         cache_.set(nodes[i], nodes[j], e->rtt_ms, e->measured_at, e->samples);
     }
   }
-  if (options.half_cache != nullptr)
+  // Likewise for the half cache: whatever a world's copy holds that the
+  // caller's does not is a store that world made, and it replaces the
+  // caller's entry even on an equal stamp (deterministic entries are all
+  // stamped zero, so a tie would keep a half the world dropped and measured
+  // again after churn).
+  if (options.half_cache != nullptr) {
+    HalfCircuitCache stored;
     for (const WorldResult& r : results)
-      options.half_cache->merge_freshest(r.half_cache);
+      stored.merge_freshest(r.half_cache.stores_since(*options.half_cache));
+    options.half_cache->overwrite(stored);
+  }
   return merged;
 }
 

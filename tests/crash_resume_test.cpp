@@ -67,7 +67,7 @@ TEST(AtomicFileTest, SaveCsvSurfacesWriteFailure) {
   EXPECT_THROW(m.save_csv("/nonexistent-ting-dir/matrix.csv"), CheckError);
   HalfCircuitCache halves;
   halves.store(fp_of(1), fp_of(2), 5.0, TimePoint{}, 5);
-  EXPECT_THROW(halves.save_csv("/nonexistent-ting-dir/halves.csv"),
+  EXPECT_THROW(halves.save_bin("/nonexistent-ting-dir/matrix.csv.halves"),
                CheckError);
 }
 
@@ -136,12 +136,17 @@ TEST(ScanJournalTest, RoundTripsRecordsWithExactBits) {
   EXPECT_EQ(j.quarantine_records()[0].failures, 3);
 
   RttMatrix matrix;
+  // A resumed daemon epoch restores into the halves loaded from the last
+  // checkpoint; the journal's half was stored later and must replace the
+  // loaded one, although both carry the zero stamp.
   HalfCircuitCache halves;
+  halves.store(fp_of(9), fp_of(1), 9999.0, TimePoint{}, 7);
   j.restore(matrix, &halves);
   ASSERT_TRUE(matrix.rtt(fp_of(1), fp_of(2)).has_value());
   EXPECT_EQ(*matrix.rtt(fp_of(1), fp_of(2)), exact);
   EXPECT_FALSE(matrix.rtt(fp_of(3), fp_of(4)).has_value());  // failed pair
   EXPECT_EQ(halves.size(), 1u);
+  EXPECT_EQ(halves.lookup(fp_of(9), fp_of(1))->rtt_ms, 0.25);
 
   j.remove_file();
   EXPECT_EQ(read_file(path), "");
@@ -228,9 +233,10 @@ TEST(ScanJournalTest, ResumeAgainstDifferentScanThrows) {
 TEST(ScanJournalTest, CheckpointsArtifactsAtCadence) {
   const std::string path = temp_path("ckpt.journal");
   const std::string matrix_path = temp_path("ckpt_matrix.csv");
-  const std::string halves_path = temp_path("ckpt_halves.csv");
+  const std::string halves_path = temp_path("ckpt_matrix.csv.halves");
   ScanJournal j(path, ScanJournal::Mode::kFresh, meta_of(1, 4));
   j.enable_checkpoints(matrix_path, halves_path, 2);
+  j.record_half({fp_of(1), fp_of(2), 0.1 + 0.2, TimePoint{}, 3});
   for (int i = 0; i < 5; ++i) {
     ScanJournal::PairRecord r;
     r.a = fp_of(10 + i);
@@ -244,6 +250,10 @@ TEST(ScanJournalTest, CheckpointsArtifactsAtCadence) {
   EXPECT_EQ(j.checkpoints_written(), 2u);
   const RttMatrix snap = RttMatrix::load_csv(matrix_path);
   EXPECT_EQ(snap.size(), 4u);  // records 1..4 were on disk at checkpoint 2
+  // The halves checkpoint is the exact-bits TINGHCX1 image.
+  const HalfCircuitCache halves = HalfCircuitCache::load_bin(halves_path);
+  ASSERT_EQ(halves.size(), 1u);
+  EXPECT_EQ(halves.lookup(fp_of(1), fp_of(2))->rtt_ms, 0.1 + 0.2);
   j.checkpoint_now();
   EXPECT_EQ(j.checkpoints_written(), 3u);
   EXPECT_EQ(RttMatrix::load_csv(matrix_path).size(), 5u);
@@ -307,7 +317,7 @@ void kill_and_resume_bit_identity(std::size_t shards) {
     const ScanReport r = scan(m, ref);
     ASSERT_EQ(r.measured, 28u);
     ref_csv = m.to_csv();
-    ref_halves = halves.to_csv();
+    ref_halves = halves.to_bin();
   }
 
   // Interrupted run: stop flag trips after ~half the pairs resolve.
@@ -354,7 +364,7 @@ void kill_and_resume_bit_identity(std::size_t shards) {
     EXPECT_EQ(r.measured + r.from_cache, 28u);
     EXPECT_GE(r.from_cache, 1u);  // the journaled pairs were skipped
     EXPECT_EQ(m.to_csv(), ref_csv);
-    EXPECT_EQ(halves.to_csv(), ref_halves);
+    EXPECT_EQ(halves.to_bin(), ref_halves);
     journal.remove_file();
   }
 }

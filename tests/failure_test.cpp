@@ -10,6 +10,7 @@
 #include "scenario/faults.h"
 #include "scenario/testbed.h"
 #include "simnet/fault_plan.h"
+#include "ting/half_circuit_cache.h"
 #include "ting/measurer.h"
 #include "ting/scheduler.h"
 #include "tor/onion_proxy.h"
@@ -375,6 +376,56 @@ TEST(FailureTest, SequentialScanReresolvesChurnedRelay) {
   EXPECT_TRUE(cache.contains(tb.fp(0), tb.fp(2)));
   EXPECT_TRUE(cache.contains(tb.fp(1), tb.fp(2)));
   EXPECT_EQ(report.fault_events.size(), 2u);
+}
+
+TEST(FailureTest, ChurnReresolvedHalfReplacesCallersStaleEntry) {
+  // The engine scans against a copy of the caller's half cache. Churn
+  // re-resolution drops fp(2)'s half from that copy and measures it again;
+  // the fresh half must replace the caller's pre-churn entry, although
+  // both carry the deterministic zero stamp.
+  scenario::Testbed tb = scenario::planetlab31(calm(808));
+  TingConfig cfg;
+  cfg.samples = 10;
+  TingMeasurer measurer(tb.ting(), cfg);
+
+  simnet::FaultPlan plan(tb.net());
+  auto stash = std::make_shared<std::optional<dir::RelayDescriptor>>();
+  plan.at(Duration::seconds(1), "consensus: -" + tb.fp(2).short_name(),
+          [&tb, stash]() { *stash = tb.directory_remove(tb.fp(2)); });
+  plan.at(Duration::seconds(51), "consensus: +" + tb.fp(2).short_name(),
+          [&tb, stash]() { tb.directory_restore(**stash); });
+  RttMatrix cache;
+  ParallelScanner scanner(
+      {ScanWorld{.measurers = {&measurer},
+                 .reseed = [&tb](std::uint64_t s) { tb.reseed_stochastics(s); },
+                 .live_consensus = &tb.consensus(),
+                 .fault_plan = &plan}},
+      cache);
+
+  constexpr double kSentinel = 9999;
+  const dir::Fingerprint w = measurer.host().w_fp();
+  HalfCircuitCache halves;
+  halves.store(w, tb.fp(2), kSentinel, TimePoint{}, 10);
+  halves.store(w, tb.fp(5), kSentinel, TimePoint{}, 10);  // not scanned
+
+  std::vector<dir::Fingerprint> nodes{tb.fp(0), tb.fp(1), tb.fp(2)};
+  ScanOptions options;
+  options.deterministic = true;
+  options.half_cache = &halves;
+  options.attempts_per_pair = 4;
+  options.randomize_order = false;
+  options.churn_requeue_delay = Duration::seconds(30);
+  const ScanReport report = scanner.scan(nodes, options);
+
+  ASSERT_EQ(report.measured, 3u) << "failed: " << report.failed;
+  EXPECT_EQ(report.churn_reresolved, 1u);
+  const std::optional<double> rtt = cache.rtt(tb.fp(0), tb.fp(2));
+  ASSERT_TRUE(rtt.has_value());
+  EXPECT_LT(*rtt, 1000);  // not computed off the sentinel half
+  const HalfCircuitCache::Entry* half = halves.lookup(w, tb.fp(2));
+  ASSERT_NE(half, nullptr);
+  EXPECT_NE(half->rtt_ms, kSentinel);
+  EXPECT_EQ(halves.lookup(w, tb.fp(5))->rtt_ms, kSentinel);
 }
 
 TEST(FailureTest, ParallelScanReresolvesChurnedRelay) {

@@ -90,18 +90,26 @@ TEST(HalfCircuitCacheTest, MergeKeepsFreshestEntry) {
   EXPECT_EQ(a.lookup(w, x)->rtt_ms, 20.0);
 }
 
-TEST(HalfCircuitCacheTest, CsvRoundTrips) {
-  HalfCircuitCache c;
-  c.store(fake_fp(1), fake_fp(2), 12.25, TimePoint::from_ns(777), 200);
-  c.store(fake_fp(1), fake_fp(3), 0.5, TimePoint{}, 15);
+TEST(HalfCircuitCacheTest, CopyStoresReplaceBaseEvenOnEqualStamps) {
+  // A scan world's copy starts as the caller's cache; what it stored since
+  // must land back even where the stamps tie, as deterministic ones do.
+  const auto w = fake_fp(1), x = fake_fp(2), y = fake_fp(3), z = fake_fp(4);
+  HalfCircuitCache base;
+  base.store(w, x, 9999.0, TimePoint{}, 10);  // stale: re-measured below
+  base.store(w, y, 30.0, TimePoint{}, 10);    // untouched by the copy
+  HalfCircuitCache copy = base;
+  copy.erase_relay(x);
+  copy.store(w, x, 12.5, TimePoint{}, 10);
+  copy.store(w, z, 40.0, TimePoint{}, 10);
 
-  const HalfCircuitCache back = HalfCircuitCache::from_csv(c.to_csv());
-  EXPECT_EQ(back.size(), 2u);
-  const auto* e = back.lookup(fake_fp(1), fake_fp(2));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->rtt_ms, 12.25);
-  EXPECT_EQ(e->measured_at.ns(), 777);
-  EXPECT_EQ(e->samples, 200);
+  const HalfCircuitCache stored = copy.stores_since(base);
+  EXPECT_EQ(stored.size(), 2u);
+  EXPECT_EQ(stored.lookup(w, y), nullptr);
+  base.overwrite(stored);
+  EXPECT_EQ(base.size(), 3u);
+  EXPECT_EQ(base.lookup(w, x)->rtt_ms, 12.5);
+  EXPECT_EQ(base.lookup(w, y)->rtt_ms, 30.0);
+  EXPECT_EQ(base.lookup(w, z)->rtt_ms, 40.0);
 }
 
 TEST(HalfCircuitCacheTest, BinRoundTripsAndRejectsCorruptInput) {
@@ -112,7 +120,7 @@ TEST(HalfCircuitCacheTest, BinRoundTripsAndRejectsCorruptInput) {
   ASSERT_EQ(bin.size(), 16u + 2 * 60);
   const HalfCircuitCache back = HalfCircuitCache::from_bin(bin);
   EXPECT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.to_bin(), bin);  // exact bits, not CSV's 6 digits
+  EXPECT_EQ(back.to_bin(), bin);  // exact bits
   EXPECT_EQ(back.lookup(fake_fp(1), fake_fp(2))->rtt_ms, 0.1 + 0.2);
 
   EXPECT_THROW(HalfCircuitCache::from_bin(bin.substr(0, bin.size() - 1)),
@@ -128,30 +136,6 @@ TEST(HalfCircuitCacheTest, BinRoundTripsAndRejectsCorruptInput) {
   for (int i = 9; i < 15; ++i) hostile[i] = 0;
   hostile[15] = 0x40;
   EXPECT_THROW(HalfCircuitCache::from_bin(hostile), CheckError);
-}
-
-TEST(HalfCircuitCacheTest, MalformedCsvRowsAreRejected) {
-  const std::string header = "host_fp,relay_fp,rtt_ms,measured_at_ns,samples\n";
-  const std::string a = fake_fp(1).hex(), b = fake_fp(2).hex();
-  EXPECT_THROW(HalfCircuitCache::from_csv(header + "not,enough,cols\n"),
-               CheckError);
-  EXPECT_THROW(
-      HalfCircuitCache::from_csv(header + a + "," + b + ",oops,777,200\n"),
-      CheckError);
-  EXPECT_THROW(
-      HalfCircuitCache::from_csv(header + a + "," + b + ",12.5x,777,200\n"),
-      CheckError);
-  EXPECT_THROW(
-      HalfCircuitCache::from_csv(header + a + "," + b + ",12.5,777,200junk\n"),
-      CheckError);
-  // A headerless file must not load minus its first row.
-  try {
-    HalfCircuitCache::from_csv(a + "," + b + ",12.5,777,200\n" + b + "," + a +
-                               ",13.5,777,200\n");
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
-  }
 }
 
 // ---- measurer integration ---------------------------------------------------

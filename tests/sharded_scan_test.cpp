@@ -175,7 +175,7 @@ TEST(ShardedScanTest, BitIdenticalAcrossShardCountsWithOptimizations) {
     // 8 half measurements + 28 C_xy builds, not 3 * 28.
     EXPECT_EQ(r.circuits_built, 28u + 8u);
     csv1 = m.to_csv();
-    halves1 = halves.to_csv();
+    halves1 = halves.to_bin();
     built1 = r.circuits_built;
   }
   {
@@ -186,7 +186,7 @@ TEST(ShardedScanTest, BitIdenticalAcrossShardCountsWithOptimizations) {
     const ScanReport r = sharded.scan(3, m, so);
     EXPECT_EQ(r.failed, 0u);
     csv3 = m.to_csv();
-    halves3 = halves.to_csv();
+    halves3 = halves.to_bin();
     built3 = r.circuits_built;
   }
   EXPECT_EQ(csv1, csv3);

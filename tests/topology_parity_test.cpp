@@ -50,7 +50,7 @@ scenario::ShardWorldOptions faulted_scan_world() {
 
 struct ScanArtifacts {
   std::string matrix_csv;
-  std::string halves_csv;
+  std::string halves_bin;
   ScanReport report;
 };
 
@@ -77,7 +77,7 @@ ScanArtifacts run_sharded_scan(bool shared, std::size_t shards) {
   ScanArtifacts a;
   a.report = scanner.scan(scenario::shard_scan_nodes(wo, topology), so);
   a.matrix_csv = m.to_csv();
-  a.halves_csv = halves.to_csv();
+  a.halves_bin = halves.to_bin();
   return a;
 }
 
@@ -86,7 +86,7 @@ TEST(TopologyParityTest, ShardedScanMatchesLegacyClonesUnderFaults) {
     const ScanArtifacts shared = run_sharded_scan(true, shards);
     const ScanArtifacts legacy = run_sharded_scan(false, shards);
     EXPECT_EQ(shared.matrix_csv, legacy.matrix_csv) << "W=" << shards;
-    EXPECT_EQ(shared.halves_csv, legacy.halves_csv) << "W=" << shards;
+    EXPECT_EQ(shared.halves_bin, legacy.halves_bin) << "W=" << shards;
     // The deterministic replay machinery must be untouched by the
     // construction path: same pair worklist, same per-pair reseeds.
     EXPECT_EQ(shared.report.reseeds, legacy.report.reseeds) << "W=" << shards;

@@ -1,29 +1,31 @@
 // ting — command-line front-end for the library.
 //
 // Runs the paper's workflows end to end against simulated worlds and
-// CSV-persisted RTT matrices, so the pieces compose like a real toolchain:
+// persisted RTT matrices, so the pieces compose like a real toolchain: the
+// matrices `scan`, `daemon` and `serve` write feed `query`, `convert`,
+// `tiv`, `deanon` and `coords`.
 //
-//   ting measure  --relays 60 --samples 200 --x 0 --y 15
-//   ting scan     --relays 25 --nodes 12 --samples 100 --out matrix.csv
-//   ting tiv      --matrix matrix.csv
-//   ting deanon   --matrix matrix.csv --runs 300
-//   ting coords   --matrix matrix.csv
-//   ting coverage --days 60 --relays 6400
-//
-// Matrices written by `scan` feed `tiv`, `deanon`, and `coords`.
+// Every command declares its flags once, in a table of (name, kind,
+// default, help). argv is parsed strictly against that table — an unknown
+// flag, a missing or malformed value, a repeated flag or a stray argument
+// is a usage error (exit 2) before any work starts — and the usage text is
+// generated from the same tables.
 #include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/congestion.h"
@@ -44,6 +46,7 @@
 #include "ting/measurer.h"
 #include "ting/scan_journal.h"
 #include "ting/scheduler.h"
+#include "util/assert.h"
 #include "util/stats.h"
 
 namespace {
@@ -56,73 +59,154 @@ std::atomic<bool> g_stop{false};
 
 void handle_stop(int) { g_stop.store(true); }
 
-struct Args {
-  std::map<std::string, std::string> kv;
+// ---- flag tables ------------------------------------------------------------
 
-  static Args parse(int argc, char** argv, int from) {
-    Args a;
-    for (int i = from; i < argc;) {
-      const std::string key = argv[i];
-      if (key.size() < 3 || key[0] != '-' || key[1] != '-') {
-        std::fprintf(stderr, "bad flag: %s\n", key.c_str());
-        std::exit(2);
-      }
-      // A flag followed by another flag (or nothing) is boolean: "--pipeline".
-      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-        a.kv[key.substr(2)] = "1";
-        i += 1;
-      } else {
-        a.kv[key.substr(2)] = argv[i + 1];
-        i += 2;
-      }
-    }
-    return a;
-  }
-  long num(const std::string& key, long fallback) const {
-    return parsed(key, fallback);
-  }
-  double real(const std::string& key, double fallback) const {
-    return parsed(key, fallback);
-  }
-  std::string str(const std::string& key, const std::string& fallback) const {
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second;
-  }
-  /// On/off switch with a --no-<key> escape hatch; bare "--<key>" means on.
-  bool flag(const std::string& key, bool fallback) const {
-    if (kv.contains("no-" + key)) return false;
-    auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second != "0";
-  }
+/// int, real and string flags take exactly one value; a bool takes none and
+/// is switched off with --no-<name>.
+enum class Kind { kInt, kReal, kStr, kBool };
+using enum Kind;
 
- private:
-  /// The whole value must parse as a T; anything else ("12x", "abc") is a
-  /// usage error (exit 2), never a silent default. Commands read their
-  /// numeric flags before doing any work, so nothing has been written yet.
-  template <typename T>
-  T parsed(const std::string& key, T fallback) const {
-    auto it = kv.find(key);
-    if (it == kv.end()) return fallback;
-    const std::string& v = it->second;
-    T out{};
-    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-    if (ec != std::errc{} || end != v.data() + v.size()) {
-      std::fprintf(stderr, "bad value for --%s: %s\n", key.c_str(), v.c_str());
-      std::exit(2);
-    }
-    return out;
-  }
+/// One flag a command accepts. `def` is the default as text: "" leaves the
+/// flag unset (Args::has is false; an unset number must not be read), and a
+/// bool's is "on" or "off".
+struct Flag {
+  const char* name;
+  Kind kind;
+  const char* def;
+  const char* help;
 };
 
-/// Resolve --scenario for scan/daemon/serve. The scenario supplies the
-/// defaults (topology sizing, faults, churn process); explicit CLI flags
-/// still win, so `--scenario massacre --nodes 8` shrinks the massacre.
-std::optional<scenario::ScenarioFile> scenario_from_args(const Args& args) {
-  const std::string handle = args.str("scenario", "");
-  if (handle.empty()) return std::nullopt;
-  scenario::ScenarioFile s = scenario::load_scenario(handle);
+class Args;
+
+struct Command {
+  const char* name;
+  int (*run)(Args&);
+  const char* summary;
+  /// Synopsis of the positional operands, or nullptr if the command takes
+  /// none (then a positional argument is a usage error).
+  const char* operands;
+  std::vector<Flag> flags;
+};
+
+/// A usage error: main prints it, then the command's usage, and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [at, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && at == end;
+}
+
+/// argv checked against one command's flag table. Commands read only flags
+/// their table declares, and the table holds every default.
+class Args {
+ public:
+  Args(const Command& cmd, int argc, char** argv) : cmd_(cmd) {
+    for (const Flag& f : cmd_.flags) values_[f.name] = f.def;
+    const Flag* prev = nullptr;
+    for (int i = 2; i < argc; ++i) {
+      const std::string tok = argv[i];
+      if (!tok.starts_with("--")) {
+        if (cmd_.operands == nullptr)
+          throw UsageError("unexpected argument '" + tok + "'" +
+                           (prev != nullptr && prev->kind == kBool
+                                ? " (--" + std::string(prev->name) +
+                                      " takes no value)"
+                                : ""));
+        operands_.push_back(tok);
+        continue;
+      }
+      const Flag* f = find(tok.substr(2));
+      const Flag* off = f == nullptr && tok.starts_with("--no-")
+                            ? find(tok.substr(5))
+                            : nullptr;
+      if (off != nullptr && off->kind == kBool) f = off;
+      if (f == nullptr) throw UsageError("unknown flag " + tok);
+      const std::string flag = "--" + std::string(f->name);
+      if (!given_.insert(f->name).second)
+        throw UsageError(flag + " given twice");
+      prev = f;
+      if (f->kind == kBool) {
+        values_[f->name] = f == off ? "off" : "on";
+        continue;
+      }
+      if (i + 1 >= argc || std::string_view(argv[i + 1]).starts_with("--"))
+        throw UsageError(flag + " wants a value");
+      const std::string v = argv[++i];
+      long n = 0;
+      double x = 0;
+      if ((f->kind == kInt && !parse_whole(v, n)) ||
+          (f->kind == kReal && !parse_whole(v, x)))
+        throw UsageError("bad value for " + flag + ": " + v);
+      values_[f->name] = v;
+    }
+  }
+
+  long num(std::string_view n) const { return parsed<long>(n, kInt); }
+  double real(std::string_view n) const { return parsed<double>(n, kReal); }
+  const std::string& str(std::string_view n) const { return value(n, kStr); }
+  bool on(std::string_view n) const { return value(n, kBool) == "on"; }
+  /// Whether the flag has a non-empty value, given or by default.
+  bool has(std::string_view name) const {
+    TING_CHECK_MSG(find(name) != nullptr, "undeclared flag --" << name);
+    return !values_.find(name)->second.empty();
+  }
+  /// Replace a flag's table default unless argv gave the flag; flags this
+  /// command does not declare are skipped.
+  void set_default(std::string_view name, std::string v) {
+    if (find(name) != nullptr && !given_.contains(name))
+      values_[std::string(name)] = std::move(v);
+  }
+  const std::vector<std::string>& operands() const { return operands_; }
+
+ private:
+  const Flag* find(std::string_view name) const {
+    for (const Flag& f : cmd_.flags)
+      if (name == f.name) return &f;
+    return nullptr;
+  }
+  const std::string& value(std::string_view name, Kind kind) const {
+    const Flag* f = find(name);
+    TING_CHECK_MSG(f != nullptr && f->kind == kind,
+                   "--" << name << " is undeclared or of another kind");
+    return values_.find(name)->second;
+  }
+  template <typename T>
+  T parsed(std::string_view name, Kind kind) const {
+    T out{};
+    TING_CHECK(parse_whole(value(name, kind), out));
+    return out;
+  }
+
+  const Command& cmd_;
+  std::map<std::string, std::string, std::less<>> values_;
+  std::set<std::string, std::less<>> given_;
+  std::vector<std::string> operands_;
+};
+
+// ---- shared pieces ----------------------------------------------------------
+
+/// Load --scenario, if given, and let it replace the table defaults of the
+/// flags it sets: explicit flags still win, so `--scenario massacre --nodes 8`
+/// shrinks the massacre.
+std::optional<scenario::ScenarioFile> apply_scenario(Args& args) {
+  if (!args.has("scenario")) return std::nullopt;
+  scenario::ScenarioFile s = scenario::load_scenario(args.str("scenario"));
   std::fprintf(stderr, "scenario '%s' (%s): %s\n", s.name.c_str(),
                s.origin.c_str(), s.summary.c_str());
+  const auto exact = [](double v) {  // shortest text that parses back to v
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
+  args.set_default("relays", std::to_string(s.relays));
+  args.set_default("nodes", std::to_string(s.nodes));
+  args.set_default("seed", std::to_string(static_cast<long>(s.seed)));
+  args.set_default("churn", exact(s.churn_rate));
+  args.set_default("rejoin", exact(s.rejoin_rate));
+  args.set_default("absent", exact(s.initially_absent));
   return s;
 }
 
@@ -130,11 +214,26 @@ std::optional<scenario::ScenarioFile> scenario_from_args(const Args& args) {
 /// in canonical grammar (what apply_fault_spec will parse).
 std::string merged_fault_spec(const std::optional<scenario::ScenarioFile>& scn,
                               const Args& args) {
-  const std::string extra = args.str("faults", "");
+  const std::string& extra = args.str("faults");
   const std::string base = scn.has_value() ? scn->fault_spec_string() : "";
   if (base.empty()) return extra;
   if (extra.empty()) return base;
   return base + ";" + extra;
+}
+
+/// `--name a<sep>b`, both halves parsing whole: --pair i,j or --band lo:hi.
+template <typename T>
+std::pair<T, T> parse_two(const Args& args, const char* name, char sep,
+                          const char* want) {
+  const std::string& v = args.str(name);
+  const std::size_t at = v.find(sep);
+  std::pair<T, T> out{};
+  if (at == std::string::npos ||
+      !parse_whole(std::string_view(v).substr(0, at), out.first) ||
+      !parse_whole(std::string_view(v).substr(at + 1), out.second))
+    throw UsageError(std::string("--") + name + " wants " + want + ", got '" +
+                     v + "'");
+  return out;
 }
 
 /// Run the scenario's Murdoch–Danezis congestion attacker: build the
@@ -221,21 +320,34 @@ int run_congestion_adversary(const scenario::ScenarioFile& scn) {
   return rc;
 }
 
-int cmd_measure(const Args& args) {
-  const auto relays = static_cast<std::size_t>(args.num("relays", 60));
-  const int samples = static_cast<int>(args.num("samples", 200));
-  const auto xi = static_cast<std::size_t>(args.num("x", 0));
-  const auto yi = static_cast<std::size_t>(args.num("y", 1));
+void print_circuit(const serve::PathServer::Circuit& c) {
+  std::printf("  %7.1fms ", c.rtt_ms);
+  for (std::size_t i = 0; i < c.relays.size(); ++i)
+    std::printf("%s%s", i == 0 ? "" : " -> ", c.relays[i].short_name().c_str());
+  std::printf("\n");
+}
+
+const char* storage_name(const serve::MatrixSnapshot& snapshot) {
+  return snapshot.storage() == serve::SnapshotStorage::kFloat32 ? "float32"
+                                                                : "float64";
+}
+
+// ---- commands ---------------------------------------------------------------
+
+int cmd_measure(Args& args) {
+  const auto xi = static_cast<std::size_t>(args.num("x"));
+  const auto yi = static_cast<std::size_t>(args.num("y"));
   scenario::TestbedOptions options;
-  options.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  scenario::Testbed world = scenario::live_tor(relays, options);
+  options.seed = static_cast<std::uint64_t>(args.num("seed"));
+  scenario::Testbed world =
+      scenario::live_tor(static_cast<std::size_t>(args.num("relays")), options);
   if (xi >= world.relay_count() || yi >= world.relay_count() || xi == yi) {
     std::fprintf(stderr, "x/y must be distinct indices below %zu\n",
                  world.relay_count());
     return 2;
   }
   meas::TingConfig cfg;
-  cfg.samples = samples;
+  cfg.samples = static_cast<int>(args.num("samples"));
   meas::TingMeasurer measurer(world.ting(), cfg);
   const meas::PairResult r =
       measurer.measure_blocking(world.fp(xi), world.fp(yi));
@@ -250,61 +362,29 @@ int cmd_measure(const Args& args) {
   return 0;
 }
 
-int cmd_scan(const Args& args) {
-  const auto scn = scenario_from_args(args);
-  const auto relays = static_cast<std::size_t>(
-      args.num("relays", scn ? static_cast<long>(scn->relays) : 25));
-  const auto nodes = static_cast<std::size_t>(
-      args.num("nodes", scn ? static_cast<long>(scn->nodes) : 12));
-  const int samples = static_cast<int>(args.num("samples", 200));
-  const int parallel = static_cast<int>(args.num("parallel", 1));
-  const int shards = static_cast<int>(args.num("shards", 1));
-  const int cap = static_cast<int>(args.num("cap", 1));
-  const std::string out = args.str("out", "matrix.csv");
-  const std::string faults = merged_fault_spec(scn, args);
-  // Measurement-plane optimizations, on by default (--no-* to disable).
-  const bool use_half_cache = args.flag("half-cache", true);
-  const bool adaptive = args.flag("adaptive-samples", true);
-  const bool pipeline = args.flag("pipeline", true);
-  // Crash safety and graceful degradation, on by default (--no-* to disable).
-  const bool use_journal = args.flag("journal", true);
-  const bool resume = args.flag("resume", false);
-  const auto checkpoint_every =
-      static_cast<std::size_t>(args.num("checkpoint-every", 25));
-  meas::QuarantineOptions quarantine;
-  quarantine.enabled = args.flag("quarantine", true);
-  quarantine.threshold = static_cast<int>(args.num("quarantine-threshold", 3));
-  quarantine.cooldown = Duration::seconds(args.num("quarantine-cooldown", 600));
-  quarantine.max_windows =
-      static_cast<int>(args.num("quarantine-max-windows", 2));
-  if (parallel < 1 || cap < 1 || shards < 1) {
-    std::fprintf(stderr, "--parallel, --cap, and --shards must be >= 1\n");
-    return 2;
-  }
-  if (resume && !use_journal) {
-    std::fprintf(stderr, "--resume needs the journal (drop --no-journal)\n");
-    return 2;
-  }
-  scenario::TestbedOptions options;
-  options.seed = static_cast<std::uint64_t>(
-      args.num("seed", scn ? static_cast<long>(scn->seed) : 1));
-  if (scn && scn->differential >= 0)
-    options.differential_fraction = scn->differential;
-  meas::TingConfig cfg;
-  cfg.samples = samples;
-  cfg.adaptive_samples = adaptive;
+int cmd_scan(Args& args) {
+  const auto scn = apply_scenario(args);
+  const int parallel = static_cast<int>(args.num("parallel"));
+  const int shards = static_cast<int>(args.num("shards"));
+  const int cap = static_cast<int>(args.num("cap"));
+  const bool use_journal = args.on("journal");
+  const bool resume = args.on("resume");
+  if (parallel < 1 || cap < 1 || shards < 1)
+    throw UsageError("--parallel, --cap, and --shards must be >= 1");
+  if (resume && !use_journal)
+    throw UsageError("--resume needs the journal (drop --no-journal)");
+  const std::string& out = args.str("out");
+  const bool use_half_cache = args.on("half-cache");
+  const auto seed = static_cast<std::uint64_t>(args.num("seed"));
 
-  // The half-circuit cache persists beside the matrix, so re-scans reuse
-  // R_Cx measurements the same way they reuse fresh matrix entries. On
-  // --resume the CSV is skipped: the journal restores the cache with exact
-  // bit patterns (the CSV rounds to 6 significant digits, which would break
-  // the deterministic mode's bit-identity guarantee).
-  const std::string halves_path = out + ".halves.csv";
+  // The half-circuit cache persists beside the matrix as an exact-bits
+  // TINGHCX1 image, so a re-scan reuses R_Cx measurements and, in the
+  // deterministic mode, writes the same matrix again. On --resume the
+  // journal restores the cache instead.
+  const std::string halves_path = out + ".halves";
   meas::HalfCircuitCache half_cache;
-  if (use_half_cache && !resume) {
-    if (std::ifstream probe(halves_path); probe.good())
-      half_cache = meas::HalfCircuitCache::load_csv(halves_path);
-  }
+  if (use_half_cache && !resume && std::ifstream(halves_path).good())
+    half_cache = meas::HalfCircuitCache::load_bin(halves_path);
   meas::HalfCircuitCache* half_cache_ptr =
       use_half_cache ? &half_cache : nullptr;
 
@@ -313,12 +393,15 @@ int cmd_scan(const Args& args) {
   // deterministically, so the matrix is bit-identical for any --shards W;
   // with K > 1 each world's pool runs concurrently.
   scenario::ShardWorldOptions swo;
-  swo.relays = relays;
-  swo.scan_nodes = nodes;
-  swo.testbed = options;
-  swo.ting = cfg;
+  swo.relays = static_cast<std::size_t>(args.num("relays"));
+  swo.scan_nodes = static_cast<std::size_t>(args.num("nodes"));
+  swo.testbed.seed = seed;
+  if (scn && scn->differential >= 0)
+    swo.testbed.differential_fraction = scn->differential;
+  swo.ting.samples = static_cast<int>(args.num("samples"));
+  swo.ting.adaptive_samples = args.on("adaptive-samples");
   swo.pool = static_cast<std::size_t>(parallel);
-  swo.fault_spec = faults;
+  swo.fault_spec = merged_fault_spec(scn, args);
   const auto construct_start = std::chrono::steady_clock::now();
   const scenario::TopologyPtr topology = scenario::shard_topology(swo);
   const std::vector<dir::Fingerprint> subset =
@@ -336,14 +419,11 @@ int cmd_scan(const Args& args) {
   const std::string journal_path = out + ".journal";
   std::unique_ptr<meas::ScanJournal> journal;
   if (use_journal) {
-    meas::ScanJournal::Meta meta;
-    meta.pair_seed = options.seed;
-    meta.nodes = subset.size();
     journal = std::make_unique<meas::ScanJournal>(
         journal_path,
         resume ? meas::ScanJournal::Mode::kResume
                : meas::ScanJournal::Mode::kFresh,
-        meta);
+        meas::ScanJournal::Meta{1, seed, subset.size()});
     if (resume) {
       journal->restore(matrix, half_cache_ptr);
       std::fprintf(stderr,
@@ -355,8 +435,9 @@ int cmd_scan(const Args& args) {
                      journal->torn_bytes());
       std::fprintf(stderr, "\n");
     }
-    journal->enable_checkpoints(out, use_half_cache ? halves_path : "",
-                                checkpoint_every);
+    journal->enable_checkpoints(
+        out, use_half_cache ? halves_path : "",
+        static_cast<std::size_t>(args.num("checkpoint-every")));
     if (half_cache_ptr != nullptr)
       half_cache.set_store_observer(
           [&journal](const dir::Fingerprint& host_w,
@@ -374,12 +455,18 @@ int cmd_scan(const Args& args) {
   meas::ScanOptions scan_options;
   scan_options.per_relay_cap = cap;
   scan_options.deterministic = parallel == 1;
-  scan_options.pair_seed = options.seed;
+  scan_options.pair_seed = seed;
   scan_options.half_cache = half_cache_ptr;
-  scan_options.pipeline_builds = pipeline;
+  scan_options.pipeline_builds = args.on("pipeline");
   scan_options.journal = journal.get();
   scan_options.stop = &g_stop;
-  scan_options.quarantine = quarantine;
+  scan_options.quarantine.enabled = args.on("quarantine");
+  scan_options.quarantine.threshold =
+      static_cast<int>(args.num("quarantine-threshold"));
+  scan_options.quarantine.cooldown =
+      Duration::seconds(args.num("quarantine-cooldown"));
+  scan_options.quarantine.max_windows =
+      static_cast<int>(args.num("quarantine-max-windows"));
   const meas::ScanReport report = scanner.scan(
       subset, scan_options,
       [](std::size_t done, std::size_t total, const meas::PairResult& r) {
@@ -388,7 +475,7 @@ int cmd_scan(const Args& args) {
       });
   std::fprintf(stderr, "\n");
   matrix.save_csv(out);
-  if (use_half_cache) half_cache.save_csv(halves_path);
+  if (use_half_cache) half_cache.save_bin(halves_path);
   std::printf("scanned %zu pairs (%zu measured, %zu cached, %zu failed, "
               "%zu retries) in %.1f virtual hours -> %s\n",
               report.pairs_total, report.measured, report.from_cache,
@@ -421,7 +508,7 @@ int cmd_scan(const Args& args) {
               report.circuits_built, report.half_cache_hits,
               report.samples_saved,
               use_half_cache ? (" -> " + halves_path).c_str() : "");
-  if (!faults.empty()) {
+  if (!swo.fault_spec.empty()) {
     std::printf("failures by class: %zu transient, %zu permanent, %zu "
                 "churned (%zu pairs re-resolved after churn)\n",
                 report.failed_transient, report.failed_permanent,
@@ -457,8 +544,8 @@ int cmd_scan(const Args& args) {
                  journal != nullptr ? journal_path.c_str() : "(no journal)");
     return 130;
   }
-  // Clean finish: the CSV artifacts carry the full state, so the journal
-  // has nothing left to protect.
+  // Clean finish: the artifacts carry the full state, so the journal has
+  // nothing left to protect.
   if (journal != nullptr) journal->remove_file();
   if (scn && scn->congestion.enabled) {
     const int adversary_rc = run_congestion_adversary(*scn);
@@ -467,59 +554,49 @@ int cmd_scan(const Args& args) {
   return report.failed == 0 ? 0 : 1;
 }
 
-int cmd_daemon(const Args& args) {
-  const auto scn = scenario_from_args(args);
-  // --synthetic [N]: swap the cell-level testbed for the paper-scale
-  // synthetic environment (scenario/synthetic_env.h); N is the consensus
-  // size and defaults to the paper's ~6,000 relays.
-  const bool synthetic = args.kv.contains("synthetic");
-  const long synth_n = args.num("synthetic", 0);
-  const auto relays = static_cast<std::size_t>(
-      synthetic
-          ? (synth_n > 1 ? synth_n : args.num("relays", 6000))
-          : args.num("relays", scn ? static_cast<long>(scn->relays) : 20));
-  const auto epochs = static_cast<std::size_t>(args.num("epochs", 6));
-  const auto budget = static_cast<std::size_t>(args.num("budget", 0));
-  const auto shards = static_cast<std::size_t>(args.num("shards", 1));
-  const int samples = static_cast<int>(args.num("samples", 50));
-  const double epoch_hours = args.real("epoch-hours", 1.0);
-  const double ttl_hours = args.real("ttl-hours", 7 * 24.0);
-  const double churn = args.real("churn", scn ? scn->churn_rate : 0.05);
-  const double rejoin = args.real("rejoin", scn ? scn->rejoin_rate : 0.5);
-  const double absent =
-      args.real("absent", scn ? scn->initially_absent : 0.0);
-  const double coverage_target = args.real("coverage", 0.99);
-  const double noise = args.real("noise", 0.5);
-  const double fail_rate = args.real("fail-rate", 0.0);
-  const std::string out = args.str("out", "daemon.tingmx");
-  const std::string csv_out = args.str("csv", "");
-  const std::string faults = merged_fault_spec(scn, args);
-  const bool resume = args.flag("resume", false);
-  const bool use_half_cache = args.flag("half-cache", !synthetic);
-  const bool adaptive = args.flag("adaptive-samples", true);
-  const bool use_journal = args.flag("journal", true);
-  const int quarantine_threshold =
-      static_cast<int>(args.num("quarantine-threshold", 3));
-  if (relays < 2 || epochs < 1 || shards < 1 || epoch_hours <= 0 ||
-      ttl_hours <= 0) {
-    std::fprintf(stderr, "daemon: bad sizing flags\n");
-    return 2;
+/// `ting daemon` and `ting serve` are this one path: the same flags build
+/// the same environment, config tag and DaemonOptions, so both write the
+/// same store and either resumes the other's. Serve adds a PathServer that
+/// publishes a snapshot at every checkpoint, then answers sample queries.
+int run_daemon(Args& args, bool serving) {
+  const auto scn = apply_scenario(args);
+  // --synthetic N swaps the cell-level testbed for the paper-scale
+  // synthetic environment (scenario/synthetic_env.h) of N relays.
+  const bool synthetic = args.has("synthetic");
+  if (synthetic) {
+    if (args.num("synthetic") < 2)
+      throw UsageError("--synthetic wants a relay count >= 2, got " +
+                       std::to_string(args.num("synthetic")));
+    args.set_default("half-cache", "off");
   }
+  const long relays_flag =
+      synthetic ? args.num("synthetic") : args.num("relays");
+  if (relays_flag < 2 || args.num("epochs") < 1 || args.num("shards") < 1 ||
+      args.real("epoch-hours") <= 0 || args.real("ttl-hours") <= 0)
+    throw UsageError("bad sizing flags: --relays must be >= 2, --epochs and "
+                     "--shards >= 1, --epoch-hours and --ttl-hours > 0");
+  const auto relays = static_cast<std::size_t>(relays_flag);
+  const auto shards = static_cast<std::size_t>(args.num("shards"));
+  const int samples = static_cast<int>(args.num("samples"));
+  const std::string faults = merged_fault_spec(scn, args);
+  const bool use_half_cache = args.on("half-cache");
+  const bool adaptive = args.on("adaptive-samples");
+  const auto seed = static_cast<std::uint64_t>(args.num("seed"));
+  scenario::ChurnFeedOptions churn;
+  churn.seed = seed;
+  churn.churn_rate = args.real("churn");
+  churn.rejoin_rate = args.real("rejoin");
+  churn.initially_absent = args.real("absent");
 
-  const auto seed = static_cast<std::uint64_t>(
-      args.num("seed", scn ? static_cast<long>(scn->seed) : 1));
   std::unique_ptr<meas::DaemonEnvironment> env;
   char tag[256];
   if (synthetic) {
     scenario::SyntheticEnvOptions seo;
     seo.relays = relays;
     seo.testbed.seed = seed;
-    seo.churn.seed = seed;
-    seo.churn.churn_rate = churn;
-    seo.churn.rejoin_rate = rejoin;
-    seo.churn.initially_absent = absent;
-    seo.noise_ms = args.real("noise", 0.5);
-    seo.failure_rate = args.real("fail-rate", 0.0);
+    seo.churn = churn;
+    seo.noise_ms = args.real("noise");
+    seo.failure_rate = args.real("fail-rate");
     seo.samples = samples;
     auto senv = std::make_unique<scenario::SyntheticDaemonEnvironment>(seo);
     std::printf("daemon: synthetic topology (%zu relays, %zu pairs) built "
@@ -530,7 +607,9 @@ int cmd_daemon(const Args& args) {
     std::snprintf(tag, sizeof(tag),
                   "synthetic=1;relays=%zu;churn=%.6f;rejoin=%.6f;"
                   "absent=%.6f;noise=%.6f;fail=%.6f;samples=%d",
-                  relays, churn, rejoin, absent, noise, fail_rate, samples);
+                  relays, churn.churn_rate, churn.rejoin_rate,
+                  churn.initially_absent, seo.noise_ms, seo.failure_rate,
+                  samples);
   } else {
     scenario::DaemonWorldOptions dwo;
     dwo.relays = relays;
@@ -539,10 +618,7 @@ int cmd_daemon(const Args& args) {
       dwo.testbed.differential_fraction = scn->differential;
     dwo.ting.samples = samples;
     dwo.ting.adaptive_samples = adaptive;
-    dwo.churn.seed = dwo.testbed.seed;
-    dwo.churn.churn_rate = churn;
-    dwo.churn.rejoin_rate = rejoin;
-    dwo.churn.initially_absent = absent;
+    dwo.churn = churn;
     dwo.fault_spec = faults;
     dwo.shards = shards;
     auto tenv = std::make_unique<scenario::TestbedDaemonEnvironment>(dwo);
@@ -558,25 +634,56 @@ int cmd_daemon(const Args& args) {
     std::snprintf(tag, sizeof(tag),
                   "relays=%zu;churn=%.6f;rejoin=%.6f;absent=%.6f;samples=%d;"
                   "adaptive=%d;half=%d;faults=%s",
-                  relays, churn, rejoin, absent, samples, adaptive ? 1 : 0,
+                  relays, churn.churn_rate, churn.rejoin_rate,
+                  churn.initially_absent, samples, adaptive ? 1 : 0,
                   use_half_cache ? 1 : 0, faults.c_str());
   }
 
   meas::DaemonOptions opt;
-  opt.epochs = epochs;
-  opt.epoch_interval = Duration::from_ms(epoch_hours * 3600e3);
-  opt.ttl = Duration::from_ms(ttl_hours * 3600e3);
-  opt.budget = budget;
-  opt.coverage_target = coverage_target;
-  opt.out = out;
-  opt.resume = resume;
+  opt.epochs = static_cast<std::size_t>(args.num("epochs"));
+  opt.epoch_interval = Duration::from_ms(args.real("epoch-hours") * 3600e3);
+  opt.ttl = Duration::from_ms(args.real("ttl-hours") * 3600e3);
+  opt.budget = static_cast<std::size_t>(args.num("budget"));
+  opt.coverage_target = args.real("coverage");
+  opt.out = args.str("out");
+  opt.resume = args.on("resume");
   opt.seed = seed;
   opt.half_cache = use_half_cache;
-  opt.journal = use_journal;
+  opt.journal = args.on("journal");
   opt.stop = &g_stop;
-  opt.engine.quarantine.enabled = args.flag("quarantine", true);
-  opt.engine.quarantine.threshold = quarantine_threshold;
+  opt.engine.quarantine.enabled = args.on("quarantine");
+  opt.engine.quarantine.threshold =
+      static_cast<int>(args.num("quarantine-threshold"));
   opt.config_tag = tag;
+
+  std::optional<serve::PathServer> server;
+  if (serving) {
+    serve::ServeOptions so;
+    so.candidates_per_length =
+        static_cast<std::size_t>(args.num("candidates"));
+    so.seed = seed;
+    so.float32_snapshot = args.on("float32");
+    server.emplace(so);
+    opt.on_checkpoint = [&server, interval = opt.epoch_interval](
+                            const meas::RttMatrix& m,
+                            const std::vector<dir::Fingerprint>&,
+                            const std::vector<dir::Fingerprint>& changed,
+                            const meas::EpochStats& s) {
+      server->publish(m, s.epoch,
+                      meas::ScanDaemon::epoch_clock(interval, s.epoch),
+                      changed);
+      const auto st = server->state();
+      std::printf("epoch %zu: published snapshot — %zu relays, %zu pairs "
+                  "(%.1f%% coverage, %s, %.1f MB), %.0f%% TIV, %zu changed "
+                  "relays\n",
+                  s.epoch, st->snapshot.node_count(),
+                  st->snapshot.pair_count(), 100 * st->snapshot.coverage(),
+                  storage_name(st->snapshot),
+                  static_cast<double>(st->snapshot.memory_bytes()) / 1e6,
+                  100 * st->detours.tiv_fraction(), changed.size());
+      std::fflush(stdout);
+    };
+  }
 
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);
@@ -599,11 +706,11 @@ int cmd_daemon(const Args& args) {
   };
   const meas::DaemonReport report = daemon.run(on_epoch);
 
-  if (!csv_out.empty()) daemon.matrix().save_csv(csv_out);
+  if (args.has("csv")) daemon.matrix().save_csv(args.str("csv"));
   if (report.interrupted) {
     std::fprintf(stderr,
                  "interrupted at epoch %zu; journal and state kept — re-run "
-                 "the same daemon command with --resume to continue\n",
+                 "the same command with --resume to continue\n",
                  report.epochs_completed);
     return 130;
   }
@@ -611,32 +718,51 @@ int cmd_daemon(const Args& args) {
               "final coverage %.2f%% (target %.0f%%) -> %s\n",
               report.epochs_completed, report.matrix_pairs,
               static_cast<double>(report.matrix_bytes) / 1e6,
-              100 * report.final_coverage, 100 * coverage_target,
-              out.c_str());
-  return report.converged ? 0 : 1;
+              100 * report.final_coverage, 100 * opt.coverage_target,
+              opt.out.c_str());
+  if (!serving) return report.converged ? 0 : 1;
+  if (!server->ready()) {
+    std::fprintf(stderr, "no epoch completed; nothing was published\n");
+    return 1;
+  }
+  // Show the serving layer answering off the last published state.
+  const auto st = server->state();
+  const auto& nodes = st->snapshot.nodes();
+  std::printf("%" PRIu64 " snapshots published; sample queries:\n",
+              server->publishes());
+  if (nodes.size() >= 2) {
+    const auto detour = server->best_detour(nodes[0], nodes[1]);
+    if (detour.has_value())
+      std::printf("  detour %s <-> %s: %.1fms via %s%s\n",
+                  nodes[0].short_name().c_str(), nodes[1].short_name().c_str(),
+                  detour->detour_ms, detour->via.short_name().c_str(),
+                  detour->tiv ? " (TIV)" : "");
+    for (const auto& c : server->fastest_through(nodes[0], 3)) print_circuit(c);
+  }
+  return 0;
 }
 
-void print_circuit(const serve::PathServer::Circuit& c) {
-  std::printf("  %7.1fms ", c.rtt_ms);
-  for (std::size_t i = 0; i < c.relays.size(); ++i)
-    std::printf("%s%s", i == 0 ? "" : " -> ", c.relays[i].short_name().c_str());
-  std::printf("\n");
-}
+int cmd_daemon(Args& args) { return run_daemon(args, false); }
+int cmd_serve(Args& args) { return run_daemon(args, true); }
 
 /// Load a matrix, publish it into a PathServer once, and answer one query.
-int cmd_query(const Args& args) {
+int cmd_query(Args& args) {
+  // Which query, checked before the matrix loads: --pair, else --through,
+  // else --band.
+  std::optional<std::pair<long, long>> pair;
+  std::optional<std::pair<double, double>> band;
+  if (args.has("pair"))
+    pair = parse_two<long>(args, "pair", ',', "i,j relay indices");
+  else if (args.has("band") && !args.has("through"))
+    band = parse_two<double>(args, "band", ':', "lo:hi in ms");
+  else if (!args.has("through"))
+    throw UsageError("query wants one of --pair, --through or --band");
   serve::ServeOptions so;
-  so.candidates_per_length =
-      static_cast<std::size_t>(args.num("candidates", 2000));
-  so.max_length = static_cast<std::size_t>(args.num("max-length", 6));
-  so.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  so.float32_snapshot = args.flag("float32", false);
-  const long through = args.num("through", 0);
-  const auto k = static_cast<std::size_t>(args.num("k", 5));
-  const auto length = static_cast<std::size_t>(args.num("length", 3));
-  const auto want = static_cast<std::size_t>(args.num("want", 5));
-  const meas::RttMatrix matrix =
-      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
+  so.candidates_per_length = static_cast<std::size_t>(args.num("candidates"));
+  so.max_length = static_cast<std::size_t>(args.num("max-length"));
+  so.seed = static_cast<std::uint64_t>(args.num("seed"));
+  so.float32_snapshot = args.on("float32");
+  const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
   serve::PathServer server(so);
   server.publish(matrix);
   const auto st = server.state();
@@ -644,10 +770,7 @@ int cmd_query(const Args& args) {
   std::printf("serving %zu relays, %zu pairs (%.1f%% coverage, %s image, "
               "%.1f MB), %.0f%% of measured pairs have a TIV detour\n",
               st->snapshot.node_count(), st->snapshot.pair_count(),
-              100 * st->snapshot.coverage(),
-              st->snapshot.storage() == serve::SnapshotStorage::kFloat32
-                  ? "float32"
-                  : "float64",
+              100 * st->snapshot.coverage(), storage_name(st->snapshot),
               static_cast<double>(st->snapshot.memory_bytes()) / 1e6,
               100 * st->detours.tiv_fraction());
 
@@ -660,14 +783,9 @@ int cmd_query(const Args& args) {
     return &nodes[static_cast<std::size_t>(i)];
   };
 
-  if (args.kv.contains("pair")) {
-    long a = 0, b = 1;
-    if (std::sscanf(args.kv.at("pair").c_str(), "%ld,%ld", &a, &b) != 2) {
-      std::fprintf(stderr, "--pair wants i,j relay indices\n");
-      return 2;
-    }
-    const auto* fa = node_at(a);
-    const auto* fb = node_at(b);
+  if (pair.has_value()) {
+    const auto* fa = node_at(pair->first);
+    const auto* fb = node_at(pair->second);
     if (fa == nullptr || fb == nullptr) return 2;
     const auto direct = server.rtt(*fa, *fb);
     if (direct.has_value())
@@ -686,198 +804,42 @@ int cmd_query(const Args& args) {
     }
     return 0;
   }
-  if (args.kv.contains("through")) {
-    const auto* relay = node_at(through);
-    if (relay == nullptr) return 2;
-    const auto circuits = server.fastest_through(*relay, k);
-    std::printf("fastest %zu 3-hop circuits with %s as middle:\n",
-                circuits.size(), relay->short_name().c_str());
-    for (const auto& c : circuits) print_circuit(c);
-    return 0;
-  }
-  if (args.kv.contains("band")) {
-    double lo = 0, hi = 0;
-    if (std::sscanf(args.kv.at("band").c_str(), "%lf:%lf", &lo, &hi) != 2) {
-      std::fprintf(stderr, "--band wants lo:hi in ms\n");
-      return 2;
-    }
-    const auto circuits = server.circuits_in_band(length, lo, hi, want);
+  if (band.has_value()) {
+    const auto [lo, hi] = *band;
+    const auto length = static_cast<std::size_t>(args.num("length"));
+    const auto circuits = server.circuits_in_band(
+        length, lo, hi, static_cast<std::size_t>(args.num("want")));
     std::printf("~%.3g circuits of length %zu in [%.0f, %.0f]ms; sampled:\n",
                 server.options_in_band(length, lo, hi), length, lo, hi);
     for (const auto& c : circuits) print_circuit(c);
     return 0;
   }
-  std::fprintf(stderr,
-               "query wants one of --pair i,j | --through i [--k n] | "
-               "--band lo:hi [--length l] [--want n]\n");
-  return 2;
-}
-
-/// A daemon run with the serving layer attached: every epoch checkpoint
-/// publishes a fresh snapshot + detour index while (in a deployment)
-/// readers keep querying the previous one lock-free.
-int cmd_serve(const Args& args) {
-  const auto scn = scenario_from_args(args);
-  const bool synthetic = args.kv.contains("synthetic");
-  const long synth_n = args.num("synthetic", 0);
-  const auto relays = static_cast<std::size_t>(
-      synthetic
-          ? (synth_n > 1 ? synth_n : args.num("relays", 6000))
-          : args.num("relays", scn ? static_cast<long>(scn->relays) : 20));
-  const auto epochs = static_cast<std::size_t>(args.num("epochs", 6));
-  const auto budget = static_cast<std::size_t>(args.num("budget", 0));
-  const auto shards = static_cast<std::size_t>(args.num("shards", 1));
-  const int samples = static_cast<int>(args.num("samples", 50));
-  const double epoch_hours = args.real("epoch-hours", 1.0);
-  const double ttl_hours = args.real("ttl-hours", 7 * 24.0);
-  const double churn = args.real("churn", scn ? scn->churn_rate : 0.05);
-  const double rejoin = args.real("rejoin", scn ? scn->rejoin_rate : 0.5);
-  const double absent =
-      args.real("absent", scn ? scn->initially_absent : 0.0);
-  const std::string faults = merged_fault_spec(scn, args);
-  const std::string out = args.str("out", "daemon.tingmx");
-  const bool resume = args.flag("resume", false);
-  const auto candidates = static_cast<std::size_t>(args.num("candidates", 500));
-  if (relays < 2 || epochs < 1 || shards < 1 || epoch_hours <= 0 ||
-      ttl_hours <= 0) {
-    std::fprintf(stderr, "serve: bad sizing flags\n");
-    return 2;
-  }
-
-  const auto seed = static_cast<std::uint64_t>(
-      args.num("seed", scn ? static_cast<long>(scn->seed) : 1));
-  std::unique_ptr<meas::DaemonEnvironment> env;
-  char tag[256];
-  if (synthetic) {
-    scenario::SyntheticEnvOptions seo;
-    seo.relays = relays;
-    seo.testbed.seed = seed;
-    seo.churn.seed = seed;
-    seo.churn.churn_rate = churn;
-    seo.churn.rejoin_rate = rejoin;
-    seo.churn.initially_absent = absent;
-    seo.noise_ms = args.real("noise", 0.5);
-    seo.failure_rate = args.real("fail-rate", 0.0);
-    seo.samples = samples;
-    env = std::make_unique<scenario::SyntheticDaemonEnvironment>(seo);
-    std::snprintf(tag, sizeof(tag),
-                  "synthetic=1;relays=%zu;churn=%.6f;rejoin=%.6f;"
-                  "absent=%.6f;noise=%.6f;fail=%.6f;samples=%d",
-                  relays, churn, rejoin, absent, seo.noise_ms,
-                  seo.failure_rate, samples);
-  } else {
-    scenario::DaemonWorldOptions dwo;
-    dwo.relays = relays;
-    dwo.testbed.seed = seed;
-    if (scn && scn->differential >= 0)
-      dwo.testbed.differential_fraction = scn->differential;
-    dwo.ting.samples = samples;
-    dwo.ting.adaptive_samples = true;
-    dwo.churn.seed = dwo.testbed.seed;
-    dwo.churn.churn_rate = churn;
-    dwo.churn.rejoin_rate = rejoin;
-    dwo.churn.initially_absent = absent;
-    dwo.fault_spec = faults;
-    dwo.shards = shards;
-    env = std::make_unique<scenario::TestbedDaemonEnvironment>(dwo);
-    std::snprintf(tag, sizeof(tag),
-                  "relays=%zu;churn=%.6f;rejoin=%.6f;absent=%.6f;samples=%d;"
-                  "adaptive=%d;half=%d;faults=%s",
-                  relays, churn, rejoin, absent, samples, 1, 1,
-                  faults.c_str());
-  }
-
-  meas::DaemonOptions opt;
-  opt.epochs = epochs;
-  opt.epoch_interval = Duration::from_ms(epoch_hours * 3600e3);
-  opt.ttl = Duration::from_ms(ttl_hours * 3600e3);
-  opt.budget = budget;
-  opt.out = out;
-  opt.resume = resume;
-  opt.seed = seed;
-  opt.half_cache = args.flag("half-cache", !synthetic);
-  opt.journal = args.flag("journal", true);
-  opt.stop = &g_stop;
-  opt.config_tag = tag;
-
-  serve::ServeOptions so;
-  so.candidates_per_length = candidates;
-  so.seed = opt.seed;
-  so.float32_snapshot = args.flag("float32", false);
-  serve::PathServer server(so);
-  opt.on_checkpoint = [&server, &opt](
-                          const meas::RttMatrix& m,
-                          const std::vector<dir::Fingerprint>&,
-                          const std::vector<dir::Fingerprint>& changed,
-                          const meas::EpochStats& s) {
-    server.publish(m, s.epoch,
-                   meas::ScanDaemon::epoch_clock(opt.epoch_interval, s.epoch),
-                   changed);
-    const auto st = server.state();
-    std::printf("epoch %zu: published snapshot — %zu relays, %zu pairs "
-                "(%.1f%% coverage, %s, %.1f MB), %.0f%% TIV, %zu changed "
-                "relays\n",
-                s.epoch, st->snapshot.node_count(),
-                st->snapshot.pair_count(), 100 * st->snapshot.coverage(),
-                st->snapshot.storage() == serve::SnapshotStorage::kFloat32
-                    ? "float32"
-                    : "float64",
-                static_cast<double>(st->snapshot.memory_bytes()) / 1e6,
-                100 * st->detours.tiv_fraction(), changed.size());
-    std::fflush(stdout);
-  };
-
-  std::signal(SIGINT, handle_stop);
-  std::signal(SIGTERM, handle_stop);
-
-  meas::ScanDaemon daemon(*env, opt);
-  const meas::DaemonReport report = daemon.run();
-
-  if (report.interrupted) {
-    std::fprintf(stderr, "interrupted at epoch %zu; re-run with --resume\n",
-                 report.epochs_completed);
-    return 130;
-  }
-  if (!server.ready()) {
-    std::fprintf(stderr, "no epoch completed; nothing was published\n");
-    return 1;
-  }
-  // Show the serving layer answering off the last published state.
-  const auto st = server.state();
-  const auto& nodes = st->snapshot.nodes();
-  std::printf("%" PRIu64 " snapshots published; sample queries:\n",
-              server.publishes());
-  if (nodes.size() >= 2) {
-    const auto detour = server.best_detour(nodes[0], nodes[1]);
-    if (detour.has_value())
-      std::printf("  detour %s <-> %s: %.1fms via %s%s\n",
-                  nodes[0].short_name().c_str(), nodes[1].short_name().c_str(),
-                  detour->detour_ms, detour->via.short_name().c_str(),
-                  detour->tiv ? " (TIV)" : "");
-    for (const auto& c : server.fastest_through(nodes[0], 3)) print_circuit(c);
-  }
+  const auto* relay = node_at(args.num("through"));
+  if (relay == nullptr) return 2;
+  const auto circuits = server.fastest_through(
+      *relay, static_cast<std::size_t>(args.num("k")));
+  std::printf("fastest %zu 3-hop circuits with %s as middle:\n",
+              circuits.size(), relay->short_name().c_str());
+  for (const auto& c : circuits) print_circuit(c);
   return 0;
 }
 
-int cmd_convert(const Args& args) {
-  const std::string in = args.str("matrix", "matrix.csv");
-  const std::string csv_out = args.str("csv", "");
-  const std::string bin_out = args.str("bin", "");
+int cmd_convert(Args& args) {
+  const std::string& in = args.str("matrix");
   const meas::RttMatrix matrix = meas::RttMatrix::load(in);
-  if (!csv_out.empty()) matrix.save_csv(csv_out);
-  if (!bin_out.empty()) matrix.save_bin(bin_out);
-  std::printf("%s: %zu pairs over %zu relays%s%s%s%s\n", in.c_str(),
-              matrix.size(), matrix.nodes().size(),
-              csv_out.empty() ? "" : " -> ", csv_out.c_str(),
-              bin_out.empty() ? "" : " -> ", bin_out.c_str());
+  if (args.has("csv")) matrix.save_csv(args.str("csv"));
+  if (args.has("bin")) matrix.save_bin(args.str("bin"));
+  std::printf("%s: %zu pairs over %zu relays", in.c_str(), matrix.size(),
+              matrix.nodes().size());
+  for (const char* to : {"csv", "bin"})
+    if (args.has(to)) std::printf(" -> %s", args.str(to).c_str());
+  std::printf("\n");
   return 0;
 }
 
-int cmd_tiv(const Args& args) {
-  const meas::RttMatrix matrix =
-      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
-  // One O(n³) detour-index pass yields the findings and the fraction
-  // together (this used to run the full scan twice).
+int cmd_tiv(Args& args) {
+  const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
+  // One O(n³) detour-index pass yields the findings and the fraction.
   const auto summary = analysis::tiv_summary(matrix);
   const auto& tivs = summary.findings;
   std::printf("%zu pairs, %.0f%% with a TIV\n", summary.measured_pairs,
@@ -899,10 +861,9 @@ int cmd_tiv(const Args& args) {
   return 0;
 }
 
-int cmd_deanon(const Args& args) {
-  const int runs = static_cast<int>(args.num("runs", 300));
-  const meas::RttMatrix matrix =
-      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
+int cmd_deanon(Args& args) {
+  const int runs = static_cast<int>(args.num("runs"));
+  const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
   analysis::DeanonWorld world;
   world.nodes = matrix.nodes();
   world.matrix = &matrix;
@@ -910,11 +871,8 @@ int cmd_deanon(const Args& args) {
     std::fprintf(stderr, "matrix too small (need >= 4 nodes)\n");
     return 2;
   }
-  struct Row {
-    const char* name;
-    analysis::Strategy strategy;
-  };
-  for (const Row& row :
+  using Row = std::pair<const char*, analysis::Strategy>;
+  for (const auto& [name, strategy] :
        {Row{"rtt-unaware", analysis::Strategy::kRttUnaware},
         Row{"ignore-too-large", analysis::Strategy::kIgnoreTooLarge},
         Row{"informed", analysis::Strategy::kInformed}}) {
@@ -931,15 +889,15 @@ int cmd_deanon(const Args& args) {
         continue;
       }
       fr.push_back(
-          analysis::deanonymize(world, *c, row.strategy, prng).fraction_probed);
+          analysis::deanonymize(world, *c, strategy, prng).fraction_probed);
     }
     if (fr.empty()) {
       std::printf("%-18s no measurable circuit in %d runs (matrix too "
                   "sparse)\n",
-                  row.name, runs);
+                  name, runs);
       continue;
     }
-    std::printf("%-18s median %.1f%% of nodes probed", row.name,
+    std::printf("%-18s median %.1f%% of nodes probed", name,
                 100 * quantile(fr, 0.5));
     if (skipped > 0)
       std::printf("  (%d/%d runs skipped: unmeasured legs)", skipped, runs);
@@ -948,11 +906,10 @@ int cmd_deanon(const Args& args) {
   return 0;
 }
 
-int cmd_coords(const Args& args) {
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 2));
-  const long percent = args.num("percent", 100);
-  const meas::RttMatrix matrix =
-      meas::RttMatrix::load(args.str("matrix", "matrix.csv"));
+int cmd_coords(Args& args) {
+  const auto seed = static_cast<std::uint64_t>(args.num("seed"));
+  const long percent = args.num("percent");
+  const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
   analysis::VivaldiSystem vivaldi;
   Rng rng(seed);
   vivaldi.fit(matrix, matrix.nodes(), rng, percent / 100.0);
@@ -966,10 +923,22 @@ int cmd_coords(const Args& args) {
   return 0;
 }
 
-/// `ting scenario list | show <name|path> [--raw] | validate <name|path>`.
-/// Positional, unlike the other commands: scenario names are the operands.
-int cmd_scenario(int argc, char** argv) {
-  const std::string action = argc >= 3 ? argv[2] : "list";
+/// `ting scenario list | show <name|path> [--raw] | validate <name|path>`:
+/// scenario names are positional operands, unlike the other commands.
+int cmd_scenario(Args& args) {
+  const std::vector<std::string>& ops = args.operands();
+  const std::string action = ops.empty() ? "list" : ops[0];
+  if (action != "list" && action != "show" && action != "validate")
+    throw UsageError("unknown scenario action '" + action +
+                     "' (list, show, validate)");
+  // The action (list by default), then one scenario for show and validate.
+  const std::size_t want = action == "list" ? 1 : 2;
+  if (ops.size() > want || (ops.size() < want && !ops.empty()))
+    throw UsageError(ops.size() > want
+                         ? "unexpected argument '" + ops[want] + "'"
+                         : action + " wants a scenario name or path");
+  if (args.on("raw") && action != "show")
+    throw UsageError("--raw applies to `scenario show` only");
   if (action == "list") {
     std::printf("%-20s %s\n", "NAME", "SUMMARY");
     for (const auto& entry : scenario::scenario_library()) {
@@ -981,31 +950,21 @@ int cmd_scenario(int argc, char** argv) {
                 "examples/scenarios/ load by path)\n");
     return 0;
   }
-  if (argc < 4) {
-    std::fprintf(stderr,
-                 "usage: ting scenario list | show <name|path> [--raw] | "
-                 "validate <name|path>\n");
-    return 2;
-  }
-  const std::string target = argv[3];
+  const std::string& target = ops[1];
   if (action == "show") {
-    const bool raw = argc >= 5 && std::string(argv[4]) == "--raw";
-    if (raw) {
+    if (args.on("raw")) {
       // Byte-exact text: the CI lint diffs this against the on-disk copy.
-      if (const scenario::LibraryScenario* entry =
-              scenario::find_scenario(target)) {
-        std::fputs(entry->text.c_str(), stdout);
-        return 0;
-      }
+      const scenario::LibraryScenario* entry = scenario::find_scenario(target);
       std::ifstream f(target);
-      if (!f.good()) {
+      if (entry == nullptr && !f.good()) {
         std::fprintf(stderr, "unknown scenario or unreadable file: %s\n",
                      target.c_str());
         return 2;
       }
-      std::string content((std::istreambuf_iterator<char>(f)),
-                          std::istreambuf_iterator<char>());
-      std::fputs(content.c_str(), stdout);
+      std::fputs(entry != nullptr ? entry->text.c_str()
+                                  : std::string(std::istreambuf_iterator(f),
+                                                {}).c_str(),
+                 stdout);
       return 0;
     }
     const scenario::ScenarioFile s = scenario::load_scenario(target);
@@ -1030,27 +989,22 @@ int cmd_scenario(int argc, char** argv) {
                   s.congestion.off_path);
     return 0;
   }
-  if (action == "validate") {
-    try {
-      const scenario::ScenarioFile s = scenario::load_scenario(target);
-      std::printf("%s: OK (scenario %s, %zu fault clauses%s)\n",
-                  target.c_str(), s.name.c_str(), s.faults.clauses.size(),
-                  s.congestion.enabled ? ", congestion adversary" : "");
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: INVALID — %s\n", target.c_str(), e.what());
-      return 1;
-    }
+  try {
+    const scenario::ScenarioFile s = scenario::load_scenario(target);
+    std::printf("%s: OK (scenario %s, %zu fault clauses%s)\n",
+                target.c_str(), s.name.c_str(), s.faults.clauses.size(),
+                s.congestion.enabled ? ", congestion adversary" : "");
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: INVALID — %s\n", target.c_str(), e.what());
+    return 1;
   }
-  std::fprintf(stderr, "unknown scenario action '%s' (list, show, validate)\n",
-               action.c_str());
-  return 2;
 }
 
-int cmd_coverage(const Args& args) {
+int cmd_coverage(Args& args) {
   scenario::TimelineOptions options;
-  options.days = static_cast<int>(args.num("days", 60));
-  options.initial_relays = static_cast<std::size_t>(args.num("relays", 6400));
+  options.days = static_cast<int>(args.num("days"));
+  options.initial_relays = static_cast<std::size_t>(args.num("relays"));
   const auto tl = scenario::make_timeline(options);
   std::printf("%s: %zu relays, %zu /24s  ->  %s: %zu relays, %zu /24s\n",
               tl.days.front().date.c_str(), tl.days.front().total_relays,
@@ -1064,118 +1018,163 @@ int cmd_coverage(const Args& args) {
   return 0;
 }
 
-void usage() {
-  std::fputs(
-      "usage: ting <command> [--flag value ...]\n"
-      "commands:\n"
-      "  measure   measure one relay pair with Ting     (--relays --samples --x --y --seed)\n"
-      "  scan      all-pairs scan to a CSV matrix       (--relays --nodes --samples --out --seed\n"
-      "                                                  --parallel K --cap per-relay-circuits\n"
-      "                                                  --shards W --faults SPEC\n"
-      "                                                  --scenario name|file)\n"
-      "  (--shards W [1] fans the pair list across W threads, each with its own\n"
-      "   world of --parallel K [1] measurement hosts. K = 1 measures pairs\n"
-      "   deterministically, so the output does not depend on W; K > 1 keeps\n"
-      "   K pairs in flight per world, stable only for a fixed (W, K))\n"
-      "  (scan optimizations, on by default: --half-cache memoizes R_Cx per\n"
-      "   relay and persists it at <out>.halves.csv, --adaptive-samples stops\n"
-      "   sampling once the running minimum plateaus, --pipeline prebuilds the\n"
-      "   next pair's circuit while the current one samples [--parallel K > 1\n"
-      "   only]; disable with --no-half-cache / --no-adaptive-samples /\n"
-      "   --no-pipeline)\n"
-      "  (crash safety, on by default: every resolved pair is fsync'd to\n"
-      "   <out>.journal and the artifacts are checkpointed atomically every\n"
-      "   --checkpoint-every pairs [25]; after a crash or SIGINT/SIGTERM,\n"
-      "   re-run with --resume to continue from the journal; --no-journal\n"
-      "   disables. --quarantine [on] benches a relay after\n"
-      "   --quarantine-threshold [3] consecutive permanent failures for\n"
-      "   --quarantine-cooldown seconds [600], deferring its pairs once\n"
-      "   --quarantine-max-windows [2] windows are spent; --no-quarantine\n"
-      "   disables)\n"
-      "fault spec (clauses ';'-separated, see src/scenario/faults.h):\n"
-      "  loss:<target>:<prob>[:<start_s>:<dur_s>]\n"
-      "  degrade:<target>:<extra_ms>:<jitter_ms>[:<start_s>:<dur_s>]\n"
-      "  crash:<target>:<start_s>:<dur_s>\n"
-      "  churn:<events>:<start_s>:<period_s>:<down_s>\n"
-      "  die:<target>[:<start_s>]\n"
-      "  diurnal:<target>:<peak_ms>:<period_s>[:<steps>:<periods>]\n"
-      "  flash:<target>:<start_s>:<dur_s>:<extra_ms>:<loss_prob>\n"
-      "  (<target> = scan-node index or '*'; e.g. \"loss:*:0.05;churn:2:30:60:120\")\n"
-      "  (--scenario loads a declarative hostile-network file — topology +\n"
-      "   dynamics + adversaries — by library name or path; explicit flags\n"
-      "   still override its defaults. See `ting scenario list` and\n"
-      "   examples/scenarios/*.ting; format in src/scenario/scenario_file.h)\n"
-      "  scenario  scenario library tooling             (list | show <name|path> [--raw] |\n"
-      "                                                  validate <name|path>)\n"
-      "  daemon    continuous scan service              (--relays --epochs --budget --ttl-hours\n"
-      "                                                  --epoch-hours --churn --rejoin --absent\n"
-      "                                                  --coverage --samples --shards\n"
-      "                                                  --faults --seed --out --csv --resume\n"
-      "                                                  --synthetic [N] --noise --fail-rate\n"
-      "                                                  --scenario name|file)\n"
-      "  (scans the whole consensus in epochs: each epoch applies churn, plans\n"
-      "   a delta worklist [new pairs first, then TTL-expired oldest-first, cut\n"
-      "   to --budget pairs], measures it deterministically, and checkpoints the\n"
-      "   binary matrix at <out>, state at <out>.state, journal at\n"
-      "   <out>.journal, half cache at <out>.halves. SIGTERM/kill at any point\n"
-      "   resumes into the same epoch with --resume, byte-identically for\n"
-      "   churn-only runs. exit: 0 converged to --coverage, 1 not converged,\n"
-      "   130 interrupted)\n"
-      "  (--synthetic [N] answers pairs from the topology's base-RTT table plus\n"
-      "   deterministic jitter [--noise ms] and faults [--fail-rate p] — no\n"
-      "   circuit simulation, so daemon logic runs at the paper's full\n"
-      "   consensus: ting daemon --synthetic 6000 --budget 500000. Each epoch\n"
-      "   is planned off the store's per-relay presence bitsets and freshness\n"
-      "   index, with no per-pair hash probe, rather than by an all-pairs\n"
-      "   census; --no-journal trades pair-level crash resume for epoch-level\n"
-      "   to skip per-record fsyncs)\n"
-      "  serve     daemon + path-selection serving      (--relays --epochs --budget --churn\n"
-      "                                                  --samples --shards --candidates\n"
-      "                                                  --out --resume --synthetic [N]\n"
-      "                                                  --float32 --scenario name|file)\n"
-      "  (runs the continuous scan with the serving layer attached: each epoch\n"
-      "   checkpoint publishes an immutable matrix snapshot + detour index via\n"
-      "   one atomic pointer swap, so path queries never lock and never see a\n"
-      "   half-updated epoch; --float32 halves the dense snapshot image)\n"
-      "  query     path-selection queries off a matrix  (--matrix [--float32], then one of:\n"
-      "                                                  --pair i,j | --through i --k n |\n"
-      "                                                  --band lo:hi --length l --want n)\n"
-      "  convert   matrix format conversion             (--matrix in [--csv out] [--bin out])\n"
-      "  tiv       triangle-inequality report           (--matrix)\n"
-      "  deanon    deanonymization strategy comparison  (--matrix --runs)\n"
-      "  coords    Vivaldi-embedding comparison         (--matrix --percent --seed)\n"
-      "  coverage  consensus timeline + host classes    (--days --relays)\n"
-      "  (query/convert/tiv/deanon/coords accept scan CSVs and daemon binary\n"
-      "   stores alike)\n",
-      stderr);
+// ---- the command table ------------------------------------------------------
+
+const std::vector<Flag> kDaemonFlags = {
+    {"scenario", kStr, "", "scenario name or file (sets defaults)"},
+    {"synthetic", kInt, "", "N-relay synthetic world (N >= 2), no testbed"},
+    {"relays", kInt, "20", "testbed relays"},
+    {"epochs", kInt, "6", "epochs to run"},
+    {"budget", kInt, "0", "pairs per epoch (0 = unlimited)"},
+    {"epoch-hours", kReal, "1", "virtual hours per epoch"},
+    {"ttl-hours", kReal, "168", "re-measure pairs older than this"},
+    {"churn", kReal, "0.05", "per-epoch relay departure rate"},
+    {"rejoin", kReal, "0.5", "per-epoch rejoin rate of departed relays"},
+    {"absent", kReal, "0", "fraction of relays absent at epoch 0"},
+    {"coverage", kReal, "0.99", "fresh-pair coverage that converges"},
+    {"samples", kInt, "50", "echo samples per circuit"},
+    {"shards", kInt, "1", "worker worlds (output does not depend on it)"},
+    {"faults", kStr, "", "fault spec, after the scenario's (grammar below)"},
+    {"seed", kInt, "1", "master seed"},
+    {"noise", kReal, "0.5", "synthetic jitter, ms"},
+    {"fail-rate", kReal, "0", "synthetic per-attempt failure probability"},
+    {"out", kStr, "daemon.tingmx", "store; beside it .state .journal .halves"},
+    {"csv", kStr, "", "also write the final store as CSV"},
+    {"resume", kBool, "off", "continue the store's interrupted run"},
+    {"half-cache", kBool, "on", "memoize half circuits (off with --synthetic)"},
+    {"adaptive-samples", kBool, "on", "stop sampling once the minimum settles"},
+    {"journal", kBool, "on", "fsync each resolved pair for pair-level resume"},
+    {"quarantine", kBool, "on", "bench relays that keep failing"},
+    {"quarantine-threshold", kInt, "3", "consecutive failures that trip it"},
+};
+
+std::vector<Flag> with(std::vector<Flag> flags,
+                       std::initializer_list<Flag> extra) {
+  flags.insert(flags.end(), extra);
+  return flags;
+}
+
+const Flag kMatrix = {"matrix", kStr, "matrix.csv", "scan CSV or daemon store"};
+
+const std::vector<Command> kCommands = {
+    {"measure", cmd_measure, "measure one relay pair with Ting", nullptr,
+     {{"relays", kInt, "60", "relays in the simulated world"},
+      {"samples", kInt, "200", "echo samples per circuit"},
+      {"x", kInt, "0", "index of relay x"},
+      {"y", kInt, "1", "index of relay y"},
+      {"seed", kInt, "1", "world seed"}}},
+    {"scan", cmd_scan, "all-pairs scan to a CSV matrix", nullptr,
+     {{"scenario", kStr, "", "scenario name or file (sets defaults)"},
+      {"relays", kInt, "25", "relays in the world"},
+      {"nodes", kInt, "12", "relays scanned"},
+      {"samples", kInt, "200", "echo samples per circuit"},
+      {"parallel", kInt, "1", "hosts per world; 1 is deterministic"},
+      {"shards", kInt, "1", "worker worlds, one thread each"},
+      {"cap", kInt, "1", "concurrent circuits per relay"},
+      {"faults", kStr, "", "fault spec, after the scenario's (grammar below)"},
+      {"seed", kInt, "1", "world and pair seed"},
+      {"out", kStr, "matrix.csv", "matrix CSV; beside it .halves .journal"},
+      {"half-cache", kBool, "on", "memoize half circuits in <out>.halves"},
+      {"adaptive-samples", kBool, "on", "stop sampling once the min settles"},
+      {"pipeline", kBool, "on", "prebuild the next circuit (--parallel > 1)"},
+      {"journal", kBool, "on", "fsync each resolved pair to <out>.journal"},
+      {"resume", kBool, "off", "continue from <out>.journal"},
+      {"checkpoint-every", kInt, "25", "pairs between artifact checkpoints"},
+      {"quarantine", kBool, "on", "bench relays that keep failing"},
+      {"quarantine-threshold", kInt, "3", "consecutive failures that trip it"},
+      {"quarantine-cooldown", kInt, "600", "seconds a relay stays benched"},
+      {"quarantine-max-windows", kInt, "2", "windows before deferring"}}},
+    {"daemon", cmd_daemon, "continuous epoch-by-epoch scan into a store",
+     nullptr, kDaemonFlags},
+    {"serve", cmd_serve, "the daemon plus path-selection serving", nullptr,
+     with(kDaemonFlags,
+          {{"candidates", kInt, "500", "sampled circuits per length"},
+           {"float32", kBool, "off", "halve the snapshot image"}})},
+    {"query", cmd_query, "path-selection queries off a matrix", nullptr,
+     {kMatrix,
+      {"pair", kStr, "", "i,j: direct RTT and best detour"},
+      {"through", kInt, "", "i: fastest 3-hop circuits with i as middle"},
+      {"k", kInt, "5", "circuits for --through"},
+      {"band", kStr, "", "lo:hi: circuits with RTT in [lo, hi] ms"},
+      {"length", kInt, "3", "circuit length for --band"},
+      {"want", kInt, "5", "circuits sampled for --band"},
+      {"candidates", kInt, "2000", "sampled circuits per length"},
+      {"max-length", kInt, "6", "longest circuit indexed"},
+      {"seed", kInt, "1", "sampling seed"},
+      {"float32", kBool, "off", "halve the snapshot image"}}},
+    {"convert", cmd_convert, "matrix format conversion", nullptr,
+     {kMatrix,
+      {"csv", kStr, "", "write CSV here"},
+      {"bin", kStr, "", "write the binary store here"}}},
+    {"tiv", cmd_tiv, "triangle-inequality report", nullptr, {kMatrix}},
+    {"deanon", cmd_deanon, "deanonymization strategy comparison", nullptr,
+     {kMatrix, {"runs", kInt, "300", "sampled circuits per strategy"}}},
+    {"coords", cmd_coords, "Vivaldi-embedding comparison", nullptr,
+     {kMatrix,
+      {"seed", kInt, "2", "embedding seed"},
+      {"percent", kInt, "100", "percent of pairs the embedding trains on"}}},
+    {"coverage", cmd_coverage, "consensus timeline and host classes", nullptr,
+     {{"days", kInt, "60", "days of consensus history"},
+      {"relays", kInt, "6400", "relays on day one"}}},
+    {"scenario", cmd_scenario, "scenario library tooling",
+     "list | show <name|path> [--raw] | validate <name|path>",
+     {{"raw", kBool, "off", "show prints the exact file text"}}},
+};
+
+constexpr const char* kFaultGrammar =
+    "fault spec (clauses ';'-separated, see src/scenario/faults.h):\n"
+    "  loss:<target>:<prob>[:<start_s>:<dur_s>]\n"
+    "  degrade:<target>:<extra_ms>:<jitter_ms>[:<start_s>:<dur_s>]\n"
+    "  crash:<target>:<start_s>:<dur_s>\n"
+    "  churn:<events>:<start_s>:<period_s>:<down_s>\n"
+    "  die:<target>[:<start_s>]\n"
+    "  diurnal:<target>:<peak_ms>:<period_s>[:<steps>:<periods>]\n"
+    "  flash:<target>:<start_s>:<dur_s>:<extra_ms>:<loss_prob>\n"
+    "  (<target> = scan-node index or '*'; e.g. \"loss:*:0.05;churn:2:30:60:120\")\n";
+
+/// The usage text of one command, or of all of them, from the tables.
+void usage(const Command* only) {
+  std::fprintf(stderr, "usage: ting %s [--flag value ...]\n",
+               only != nullptr ? only->name : "<command>");
+  bool faults = false;
+  for (const Command& c : kCommands) {
+    if (only != nullptr && only != &c) continue;
+    std::fprintf(stderr, "  %-9s %s\n", c.name, c.summary);
+    if (c.operands != nullptr) std::fprintf(stderr, "    %s\n", c.operands);
+    for (const Flag& f : c.flags) {
+      static constexpr const char* kMetavar[] = {" N", " X", " STR", ""};
+      const std::string lhs =
+          (f.kind == kBool ? "--[no-]" : "--") + std::string(f.name) +
+          kMetavar[static_cast<int>(f.kind)];
+      const bool def = *f.def != '\0';
+      std::fprintf(stderr, "    %-28s %s%s%s%s\n", lhs.c_str(), f.help,
+                   def ? " [" : "", f.def, def ? "]" : "");
+      faults = faults || std::string_view(f.name) == "faults";
+    }
+  }
+  if (faults) std::fputs(kFaultGrammar, stderr);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
+  const Command* cmd = nullptr;
+  for (const Command& c : kCommands)
+    if (argc >= 2 && std::string_view(argv[1]) == c.name) cmd = &c;
+  if (cmd == nullptr) {
+    if (argc >= 2) std::fprintf(stderr, "error: unknown command %s\n", argv[1]);
+    usage(nullptr);
     return 2;
   }
-  const std::string cmd = argv[1];
   try {
-    // `scenario` takes positional operands (names), not --flag pairs.
-    if (cmd == "scenario") return cmd_scenario(argc, argv);
-    const Args args = Args::parse(argc, argv, 2);
-    if (cmd == "measure") return cmd_measure(args);
-    if (cmd == "scan") return cmd_scan(args);
-    if (cmd == "daemon") return cmd_daemon(args);
-    if (cmd == "serve") return cmd_serve(args);
-    if (cmd == "query") return cmd_query(args);
-    if (cmd == "convert") return cmd_convert(args);
-    if (cmd == "tiv") return cmd_tiv(args);
-    if (cmd == "deanon") return cmd_deanon(args);
-    if (cmd == "coords") return cmd_coords(args);
-    if (cmd == "coverage") return cmd_coverage(args);
+    Args args(*cmd, argc, argv);
+    return cmd->run(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage(cmd);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
-  return 2;
 }
