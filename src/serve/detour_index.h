@@ -10,14 +10,21 @@
 // aggregate TIV statistics fall out of counters maintained during the
 // single build pass.
 //
-// Build is O(n³) once per snapshot. Delta epochs don't pay that again: a
-// changed matrix entry (a, b) only appears in detour sums R(i,k) + R(k,j)
-// where i or j is one of {a, b} (the entry is one leg, so one endpoint of
-// the served pair names it), and only in direct terms where {i,j} = {a,b}.
-// Every affected pair therefore touches a changed relay, and
-// update(snapshot, changed) recomputes exactly the pairs incident to
-// changed relays — O(|changed| · n²), the same shape as the daemon's delta
-// worklist itself.
+// Build is O(n³) once per snapshot, as one min-plus kernel: the snapshot is
+// symmetric with a NaN diagonal, so the sums for pair (i, j) are
+// row_i[k] + row_j[k] over two contiguous rows, taken in 16-byte vectors
+// for a 2×4 tile of pairs and 64 values of k at a time; via is then the
+// first k in the first chunk that reached the minimum, exactly what a
+// k-ascending scalar scan picks. On one core of a shared 4-CPU Xeon that is
+// ~0.13–0.25 s at 953 relays and ~1.3 s at 1,911.
+//
+// Delta epochs don't pay that again: a changed matrix entry (a, b) only
+// appears in detour sums R(i,k) + R(k,j) where i or j is one of {a, b} (the
+// entry is one leg, so one endpoint of the served pair names it), and only
+// in direct terms where {i,j} = {a,b}. Every affected pair therefore
+// touches a changed relay, and update(snapshot, changed) recomputes exactly
+// the pairs incident to changed relays — O(|changed| · n²) through the same
+// kernel, the same shape as the daemon's delta worklist itself.
 //
 // Like the snapshot it belongs to, a built index is immutable in the
 // serving path: PathServer bundles {snapshot, index} into one atomically
@@ -86,9 +93,8 @@ class DetourIndex {
     if (i > j) std::swap(i, j);
     return i * n_ - i * (i + 1) / 2 + (j - i - 1);
   }
-  /// Recompute one pair's entry from scratch, adjusting the counters.
-  void recompute_pair(const MatrixSnapshot& snapshot, std::size_t i,
-                      std::size_t j);
+  /// Store one recomputed entry, keeping the counters in step.
+  void assign(std::size_t i, std::size_t j, const Detour& d);
 
   std::size_t n_ = 0;
   std::vector<Detour> best_;  ///< n·(n−1)/2 entries, tri() order

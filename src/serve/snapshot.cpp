@@ -40,10 +40,10 @@ MatrixSnapshot MatrixSnapshot::build(const meas::RttMatrix& matrix,
   s.stamp_ = stamp;
   s.storage_ = storage;
   s.index_nodes(matrix.nodes());
-  for (std::size_t i = 0; i < s.nodes_.size(); ++i)
-    for (std::size_t j = i + 1; j < s.nodes_.size(); ++j)
-      if (const auto r = matrix.rtt(s.nodes_[i], s.nodes_[j]); r.has_value())
-        s.set_pair(i, j, *r);
+  matrix.for_each_pair(s.nodes_, [&s](std::size_t i, std::size_t j,
+                                      const meas::RttMatrix::Entry& e) {
+    s.set_pair(i, j, e.rtt_ms);
+  });
   return s;
 }
 

@@ -9,23 +9,33 @@
 // every lookup is one hash probe (or none, for index-based callers) and one
 // array read — no pair-key construction, no lock.
 //
-// Snapshots are built once (O(n²)) from the matrix, then never mutated;
+// Snapshots are built once from the matrix — O(n²) to lay out the array,
+// then one walk over the store's entries to fill it — and never mutated;
 // PathServer publishes them through an atomic shared_ptr swap so readers
 // always see a complete, internally consistent image. Missing pairs
 // are quiet NaNs in the flat array — a partially-converged daemon store is
 // a first-class input, and every accessor reports absence instead of
 // aborting (the analysis layer's TING_CHECK-on-missing behaviour is
 // deliberately not replicated here).
+//
+// Class invariants, which DetourIndex's kernel relies on:
+//   - the array is symmetric: R(i, j) and R(j, i) hold the same bits, so
+//     column j is row j and every read can be a contiguous row read;
+//   - the diagonal is NaN, so any sum with a self-leg loses every
+//     comparison, like a sum with an unmeasured leg.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "dir/fingerprint.h"
 #include "ting/rtt_matrix.h"
+#include "util/assert.h"
 #include "util/time.h"
 
 namespace ting::serve {
@@ -81,6 +91,15 @@ class MatrixSnapshot {
   std::optional<double> rtt(const dir::Fingerprint& a,
                             const dir::Fingerprint& b) const;
 
+  /// Row i in storage precision: n contiguous values, R(i, k) at [k]. T is
+  /// double for a kFloat64 image and float for a kFloat32 one.
+  template <typename T>
+  std::span<const T> row(std::size_t i) const {
+    const std::vector<T>& flat = image<T>();
+    TING_CHECK(!flat.empty() && i < nodes_.size());
+    return {flat.data() + i * nodes_.size(), nodes_.size()};
+  }
+
   /// Sum of consecutive-hop RTTs along a path of node indices; nullopt when
   /// any hop is unmeasured (never aborts — the serving layer's contract).
   std::optional<double> path_rtt_ms(const std::vector<std::size_t>& path) const;
@@ -98,6 +117,13 @@ class MatrixSnapshot {
   std::size_t memory_bytes() const;
 
  private:
+  template <typename T>
+  const std::vector<T>& image() const {
+    if constexpr (std::is_same_v<T, float>)
+      return rtt32_;
+    else
+      return rtt_;
+  }
   void index_nodes(std::vector<dir::Fingerprint> nodes);
   void set_pair(std::size_t i, std::size_t j, double rtt_ms);
 

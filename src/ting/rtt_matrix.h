@@ -131,6 +131,26 @@ class RttMatrix {
   MissingPairs missing_pairs(const std::vector<dir::Fingerprint>& nodes,
                              std::size_t limit) const;
 
+  /// Every stored pair among `nodes` (distinct relays) as f(i, j, entry),
+  /// with i < j indices into `nodes`, in no particular order. One pass over
+  /// the entries after one id lookup per node: O(|nodes| + size()), with no
+  /// per-pair fingerprint hashing or probing — how a serve snapshot fills.
+  template <typename F>
+  void for_each_pair(const std::vector<dir::Fingerprint>& nodes, F&& f) const {
+    constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> at(relays_.size(), kAbsent);  // id -> index
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+      if (const RelayId id = find_relay(nodes[i]); id != kNoRelay) at[id] = i;
+    for (const auto& [k, e] : entries_) {
+      const std::size_t i = at[lo(k)], j = at[hi(k)];
+      if (i == kAbsent || j == kAbsent) continue;
+      if (i < j)
+        f(i, j, e);
+      else
+        f(j, i, e);
+    }
+  }
+
   /// Freshness census over the all-pairs set of `nodes`.
   struct CoverageCount {
     std::size_t total = 0;    ///< unordered pairs of `nodes`

@@ -341,8 +341,14 @@ void ScanJournal::record_quarantine(const QuarantineRecord& r) {
 
 void ScanJournal::enable_checkpoints(std::string matrix_path,
                                      std::string halves_path,
-                                     std::size_t every_pairs) {
+                                     std::size_t every_pairs,
+                                     const HalfCircuitCache& loaded_halves) {
   const std::lock_guard<std::mutex> lock(mu_);
+  // The journal's halves were stored after the loaded ones: they win.
+  HalfCircuitCache mirror;
+  mirror.overwrite(loaded_halves);
+  mirror.overwrite(mirror_halves_);
+  mirror_halves_ = std::move(mirror);
   checkpoint_matrix_path_ = std::move(matrix_path);
   checkpoint_halves_path_ = std::move(halves_path);
   checkpoint_every_ = every_pairs;

@@ -137,9 +137,13 @@ class ScanJournal {
   /// Every `every_pairs` pair records, atomically rewrite the matrix as CSV
   /// (and, if `halves_path` is non-empty, the half-circuit cache as
   /// TINGHCX1) from the journal's mirrors. Pass every_pairs = 0 to disable
-  /// cadence-based checkpoints (checkpoint_now still works).
+  /// cadence-based checkpoints (checkpoint_now still works). `loaded_halves`
+  /// are the halves the scan started from (its <out>.halves): the halves
+  /// mirror starts from them, with the journal's own halves on top, so a
+  /// checkpoint never drops a half the file already held.
   void enable_checkpoints(std::string matrix_path, std::string halves_path,
-                          std::size_t every_pairs);
+                          std::size_t every_pairs,
+                          const HalfCircuitCache& loaded_halves);
   /// Write a checkpoint immediately (graceful-shutdown flush).
   void checkpoint_now();
   std::size_t checkpoints_written() const;

@@ -71,6 +71,38 @@ const UsageCase kCases[] = {
      {"scenario", "show", "calm", "--bogus"},
      "--bogus"},
     {"scenario_extra_operand", {"scenario", "list", "extra"}, "'extra'"},
+    {"query_pair_and_band",
+     {"query", "--matrix", kMatrix, "--pair", "0,5", "--band", "100:200"},
+     "--pair and --band"},
+    {"query_pair_and_through",
+     {"query", "--matrix", kMatrix, "--pair", "0,5", "--through", "3"},
+     "--pair and --through"},
+    {"query_through_and_band",
+     {"query", "--matrix", kMatrix, "--through", "3", "--band", "100:200"},
+     "--through and --band"},
+    {"daemon_negative_budget",
+     {"daemon", "--synthetic", "50", "--epochs", "1", "--budget", "-1",
+      "--no-journal", "--out", "out.tingmx"},
+     "--budget"},
+    {"query_negative_k",
+     {"query", "--matrix", kMatrix, "--through", "3", "--k", "-2"},
+     "--k"},
+    {"scan_negative_samples",
+     {"scan", "--relays", "8", "--nodes", "6", "--samples", "-3", "--out",
+      "out.csv"},
+     "--samples"},
+    {"scan_shards_past_int",
+     {"scan", "--relays", "8", "--nodes", "6", "--samples", "10", "--shards",
+      "4294967297", "--out", "out.csv"},
+     "--shards"},
+    {"scan_samples_past_int",
+     {"scan", "--relays", "8", "--nodes", "6", "--samples", "3000000000",
+      "--out", "out.csv"},
+     "--samples"},
+    {"scan_quarantine_threshold_past_int",
+     {"scan", "--relays", "8", "--nodes", "6", "--samples", "10",
+      "--quarantine-threshold", "4294967296", "--out", "out.csv"},
+     "--quarantine-threshold"},
 };
 
 // Print the case by name: the raw bytes gtest prints by default hold

@@ -235,7 +235,7 @@ TEST(ScanJournalTest, CheckpointsArtifactsAtCadence) {
   const std::string matrix_path = temp_path("ckpt_matrix.csv");
   const std::string halves_path = temp_path("ckpt_matrix.csv.halves");
   ScanJournal j(path, ScanJournal::Mode::kFresh, meta_of(1, 4));
-  j.enable_checkpoints(matrix_path, halves_path, 2);
+  j.enable_checkpoints(matrix_path, halves_path, 2, HalfCircuitCache{});
   j.record_half({fp_of(1), fp_of(2), 0.1 + 0.2, TimePoint{}, 3});
   for (int i = 0; i < 5; ++i) {
     ScanJournal::PairRecord r;
@@ -257,6 +257,38 @@ TEST(ScanJournalTest, CheckpointsArtifactsAtCadence) {
   j.checkpoint_now();
   EXPECT_EQ(j.checkpoints_written(), 3u);
   EXPECT_EQ(RttMatrix::load_csv(matrix_path).size(), 5u);
+  j.remove_file();
+  std::remove(matrix_path.c_str());
+  std::remove(halves_path.c_str());
+}
+
+TEST(ScanJournalTest, CheckpointKeepsTheLoadedHalves) {
+  // A rescan starts from its <out>.halves; a checkpoint must rewrite that
+  // file with those halves plus the journaled ones, or a kill after it
+  // leaves the rescan's cache emptier than the file it read.
+  const std::string path = temp_path("loaded.journal");
+  const std::string matrix_path = temp_path("loaded_matrix.csv");
+  const std::string halves_path = temp_path("loaded_matrix.csv.halves");
+  constexpr std::size_t kLoaded = 6;
+  HalfCircuitCache loaded;
+  for (std::size_t i = 0; i < kLoaded; ++i)
+    loaded.store(fp_of(1), fp_of(30 + static_cast<int>(i)), 5.0 + i,
+                 TimePoint{}, 3);
+  ScanJournal j(path, ScanJournal::Mode::kFresh, meta_of(1, 4));
+  j.enable_checkpoints(matrix_path, halves_path, 1, loaded);
+  j.record_half({fp_of(2), fp_of(3), 7.5, TimePoint{}, 3});
+  ScanJournal::PairRecord r;
+  r.a = fp_of(10);
+  r.b = fp_of(20);
+  r.ok = true;
+  r.rtt_ms = 12.0;
+  r.samples = 3;
+  j.record_pair(r);
+  ASSERT_EQ(j.checkpoints_written(), 1u);
+  const HalfCircuitCache on_disk = HalfCircuitCache::load_bin(halves_path);
+  EXPECT_EQ(on_disk.size(), kLoaded + 1);
+  EXPECT_EQ(on_disk.lookup(fp_of(1), fp_of(30))->rtt_ms, 5.0);
+  EXPECT_EQ(on_disk.lookup(fp_of(2), fp_of(3))->rtt_ms, 7.5);
   j.remove_file();
   std::remove(matrix_path.c_str());
   std::remove(halves_path.c_str());

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "serve/detour_index.h"
@@ -187,6 +188,54 @@ TEST(SnapshotTest, UnknownRelayAndDiagonal) {
     EXPECT_FALSE(snap.rtt(i, i).has_value());
 }
 
+/// A snapshot filled by the store's entry walk holds exactly what probing
+/// every node pair of the store would: the same bits (narrowed in float32),
+/// NaN holes and diagonal, pair count and node list.
+void expect_snapshot_matches_probe(const meas::RttMatrix& m,
+                                   SnapshotStorage storage) {
+  const MatrixSnapshot snap = MatrixSnapshot::build(m, 0, TimePoint{}, storage);
+  const std::vector<dir::Fingerprint> nodes = m.nodes();
+  ASSERT_EQ(snap.nodes(), nodes);
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    for (std::size_t j = 0; j < nodes.size(); ++j) {
+      const double got = snap.rtt_raw(i, j);
+      const auto want = i == j ? std::nullopt : m.rtt(nodes[i], nodes[j]);
+      if (!want.has_value()) {
+        ASSERT_TRUE(std::isnan(got)) << "(" << i << "," << j << ")";
+        continue;
+      }
+      const double stored = storage == SnapshotStorage::kFloat32
+                                ? static_cast<double>(static_cast<float>(*want))
+                                : *want;
+      ASSERT_EQ(std::memcmp(&got, &stored, sizeof(double)), 0)
+          << "(" << i << "," << j << "): " << got << " vs " << stored;
+      if (i < j) ++pairs;
+    }
+  EXPECT_EQ(snap.pair_count(), pairs);
+}
+
+TEST(SnapshotTest, EntryWalkMatchesPairProbe) {
+  World w(40, 21, /*missing_fraction=*/0.3);
+  // erase_relay keeps the relay's id, now with no entries.
+  meas::RttMatrix erased = w.matrix;
+  ASSERT_GT(erased.erase_relay(w.fps[7]), 0u);
+  // from_bin assigns ids in record order, not the insertion order above.
+  const meas::RttMatrix reloaded = meas::RttMatrix::from_bin(erased.to_bin());
+  // merge interns the other store's relays into this one's table.
+  World other(48, 22, /*missing_fraction=*/0.5);
+  meas::RttMatrix merged = w.matrix;
+  merged.merge(other.matrix);
+  const meas::RttMatrix* const stores[] = {&w.matrix, &erased, &reloaded,
+                                           &merged};
+  for (const meas::RttMatrix* m : stores)
+    for (const SnapshotStorage storage :
+         {SnapshotStorage::kFloat64, SnapshotStorage::kFloat32})
+      expect_snapshot_matches_probe(*m, storage);
+  EXPECT_FALSE(MatrixSnapshot::build(erased).index_of(w.fps[7]).has_value());
+  EXPECT_EQ(MatrixSnapshot::build(merged).node_count(), 48u);
+}
+
 // ------------------------------------------------------------ detour index
 
 /// Brute-force reference for one pair.
@@ -212,6 +261,8 @@ BruteDetour brute_detour(const MatrixSnapshot& snap, std::size_t i,
   return out;
 }
 
+/// Every pair of `index` equals the brute-force reference exactly: the same
+/// via, the same detour_ms bits, the same flags, and counters that agree.
 void expect_index_matches_brute(const MatrixSnapshot& snap,
                                 const DetourIndex& index) {
   std::size_t measured = 0, tivs = 0;
@@ -220,11 +271,13 @@ void expect_index_matches_brute(const MatrixSnapshot& snap,
       const BruteDetour want = brute_detour(snap, i, j);
       const DetourIndex::Detour& got = index.at(i, j);
       ASSERT_EQ(got.via, want.via) << "pair (" << i << "," << j << ")";
-      if (want.via != DetourIndex::kNone) {
-        EXPECT_DOUBLE_EQ(got.detour_ms, want.detour_ms);
-      }
-      EXPECT_EQ(got.tiv, want.tiv);
-      EXPECT_EQ(got.measured, snap.has(i, j));
+      ASSERT_EQ(std::memcmp(&got.detour_ms, &want.detour_ms, sizeof(double)),
+                0)
+          << "pair (" << i << "," << j << "): " << got.detour_ms << " vs "
+          << want.detour_ms;
+      ASSERT_EQ(got.tiv, want.tiv) << "pair (" << i << "," << j << ")";
+      ASSERT_EQ(got.measured, snap.has(i, j)) << "pair (" << i << "," << j
+                                              << ")";
       if (snap.has(i, j)) ++measured;
       if (want.tiv) ++tivs;
     }
@@ -286,6 +339,67 @@ TEST(DetourIndexTest, IncrementalUpdateEqualsRebuild) {
   const DetourIndex rebuilt = DetourIndex::build(after);
   EXPECT_EQ(index.measured_pairs(), rebuilt.measured_pairs());
   EXPECT_EQ(index.tiv_pairs(), rebuilt.tiv_pairs());
+}
+
+/// RTTs that stress the kernel's exactness: small integers, so equal detour
+/// sums straddle chunk, lane and tile boundaries, plus some negatives and
+/// ±0.0, whose equal sums differ in the sign of zero.
+double tie_heavy_rtt(Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.1) return u < 0.05 ? 0.0 : -0.0;
+  if (u < 0.15) return -static_cast<double>(1 + rng.next_below(3));
+  return static_cast<double>(rng.next_below(8));
+}
+
+/// n relays with a `missing_fraction` of pairs unmeasured. The chain
+/// (i, i+1) is always measured, so every relay is in the snapshot.
+meas::RttMatrix tie_heavy_matrix(std::size_t n, double missing_fraction,
+                                 Rng& rng) {
+  meas::RttMatrix m;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      if (j == i + 1 || rng.uniform() >= missing_fraction)
+        m.set(fp_of(static_cast<std::uint32_t>(i)),
+              fp_of(static_cast<std::uint32_t>(j)), tie_heavy_rtt(rng));
+  return m;
+}
+
+TEST(DetourIndexTest, KernelMatchesBruteForceAcrossShapes) {
+  // Sizes around the kernel's 64-wide chunks, 2-wide lanes and 2×4 tiles,
+  // so every remainder path runs; both storages; full build, then update()
+  // after random edits.
+  for (const std::size_t n : {2, 3, 4, 5, 7, 63, 64, 65, 66, 129, 200})
+    for (const double missing : {0.0, 0.3, 0.95})
+      for (const SnapshotStorage storage :
+           {SnapshotStorage::kFloat64, SnapshotStorage::kFloat32}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " missing=" << missing << " float32="
+                     << (storage == SnapshotStorage::kFloat32));
+        Rng rng(n * 1000 + static_cast<std::uint64_t>(missing * 100));
+        meas::RttMatrix m = tie_heavy_matrix(n, missing, rng);
+        const MatrixSnapshot before =
+            MatrixSnapshot::build(m, 0, TimePoint{}, storage);
+        ASSERT_EQ(before.node_count(), n);
+        DetourIndex index = DetourIndex::build(before);
+        expect_index_matches_brute(before, index);
+
+        // Edit a few entries between snapshot relays (set or overwrite), so
+        // the node set stays and update() applies.
+        std::vector<std::size_t> changed;
+        for (std::size_t e = 0; e < 1 + n / 16; ++e) {
+          const std::size_t a = rng.next_below(n);
+          std::size_t b = a;
+          while (b == a) b = rng.next_below(n);
+          m.set(before.node(a), before.node(b), tie_heavy_rtt(rng));
+          changed.push_back(a);
+          changed.push_back(b);
+        }
+        const MatrixSnapshot after =
+            MatrixSnapshot::build(m, 0, TimePoint{}, storage);
+        ASSERT_EQ(after.nodes(), before.nodes());
+        index.update(after, changed);
+        expect_index_matches_brute(after, index);
+      }
 }
 
 // ------------------------------------------------------------- path server

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -61,10 +62,16 @@ void handle_stop(int) { g_stop.store(true); }
 
 // ---- flag tables ------------------------------------------------------------
 
-/// int, real and string flags take exactly one value; a bool takes none and
-/// is switched off with --no-<name>.
-enum class Kind { kInt, kReal, kStr, kBool };
+/// int, count, real and string flags take exactly one value; a bool takes
+/// none and is switched off with --no-<name>. A count is a whole number
+/// from 0 to kMaxCount (sizes, budgets, indices); kInt is for values that
+/// may be negative.
+enum class Kind { kInt, kCount, kReal, kStr, kBool };
 using enum Kind;
+
+/// Commands narrow some counts to int (samples, shards, runs, thresholds),
+/// so a larger one would wrap into a wrong value instead of failing.
+constexpr std::size_t kMaxCount = std::numeric_limits<int>::max();
 
 /// One flag a command accepts. `def` is the default as text: "" leaves the
 /// flag unset (Args::has is false; an unset number must not be read), and a
@@ -137,8 +144,10 @@ class Args {
         throw UsageError(flag + " wants a value");
       const std::string v = argv[++i];
       long n = 0;
+      std::size_t c = 0;
       double x = 0;
       if ((f->kind == kInt && !parse_whole(v, n)) ||
+          (f->kind == kCount && (!parse_whole(v, c) || c > kMaxCount)) ||
           (f->kind == kReal && !parse_whole(v, x)))
         throw UsageError("bad value for " + flag + ": " + v);
       values_[f->name] = v;
@@ -146,6 +155,9 @@ class Args {
   }
 
   long num(std::string_view n) const { return parsed<long>(n, kInt); }
+  std::size_t count(std::string_view n) const {
+    return parsed<std::size_t>(n, kCount);
+  }
   double real(std::string_view n) const { return parsed<double>(n, kReal); }
   const std::string& str(std::string_view n) const { return value(n, kStr); }
   bool on(std::string_view n) const { return value(n, kBool) == "on"; }
@@ -335,19 +347,18 @@ const char* storage_name(const serve::MatrixSnapshot& snapshot) {
 // ---- commands ---------------------------------------------------------------
 
 int cmd_measure(Args& args) {
-  const auto xi = static_cast<std::size_t>(args.num("x"));
-  const auto yi = static_cast<std::size_t>(args.num("y"));
+  const auto xi = args.count("x");
+  const auto yi = args.count("y");
   scenario::TestbedOptions options;
   options.seed = static_cast<std::uint64_t>(args.num("seed"));
-  scenario::Testbed world =
-      scenario::live_tor(static_cast<std::size_t>(args.num("relays")), options);
+  scenario::Testbed world = scenario::live_tor(args.count("relays"), options);
   if (xi >= world.relay_count() || yi >= world.relay_count() || xi == yi) {
     std::fprintf(stderr, "x/y must be distinct indices below %zu\n",
                  world.relay_count());
     return 2;
   }
   meas::TingConfig cfg;
-  cfg.samples = static_cast<int>(args.num("samples"));
+  cfg.samples = static_cast<int>(args.count("samples"));
   meas::TingMeasurer measurer(world.ting(), cfg);
   const meas::PairResult r =
       measurer.measure_blocking(world.fp(xi), world.fp(yi));
@@ -364,9 +375,9 @@ int cmd_measure(Args& args) {
 
 int cmd_scan(Args& args) {
   const auto scn = apply_scenario(args);
-  const int parallel = static_cast<int>(args.num("parallel"));
-  const int shards = static_cast<int>(args.num("shards"));
-  const int cap = static_cast<int>(args.num("cap"));
+  const int parallel = static_cast<int>(args.count("parallel"));
+  const int shards = static_cast<int>(args.count("shards"));
+  const int cap = static_cast<int>(args.count("cap"));
   const bool use_journal = args.on("journal");
   const bool resume = args.on("resume");
   if (parallel < 1 || cap < 1 || shards < 1)
@@ -380,10 +391,10 @@ int cmd_scan(Args& args) {
   // The half-circuit cache persists beside the matrix as an exact-bits
   // TINGHCX1 image, so a re-scan reuses R_Cx measurements and, in the
   // deterministic mode, writes the same matrix again. On --resume the
-  // journal restores the cache instead.
+  // journal's halves overlay the loaded ones.
   const std::string halves_path = out + ".halves";
   meas::HalfCircuitCache half_cache;
-  if (use_half_cache && !resume && std::ifstream(halves_path).good())
+  if (use_half_cache && std::ifstream(halves_path).good())
     half_cache = meas::HalfCircuitCache::load_bin(halves_path);
   meas::HalfCircuitCache* half_cache_ptr =
       use_half_cache ? &half_cache : nullptr;
@@ -393,12 +404,12 @@ int cmd_scan(Args& args) {
   // deterministically, so the matrix is bit-identical for any --shards W;
   // with K > 1 each world's pool runs concurrently.
   scenario::ShardWorldOptions swo;
-  swo.relays = static_cast<std::size_t>(args.num("relays"));
-  swo.scan_nodes = static_cast<std::size_t>(args.num("nodes"));
+  swo.relays = args.count("relays");
+  swo.scan_nodes = args.count("nodes");
   swo.testbed.seed = seed;
   if (scn && scn->differential >= 0)
     swo.testbed.differential_fraction = scn->differential;
-  swo.ting.samples = static_cast<int>(args.num("samples"));
+  swo.ting.samples = static_cast<int>(args.count("samples"));
   swo.ting.adaptive_samples = args.on("adaptive-samples");
   swo.pool = static_cast<std::size_t>(parallel);
   swo.fault_spec = merged_fault_spec(scn, args);
@@ -435,9 +446,10 @@ int cmd_scan(Args& args) {
                      journal->torn_bytes());
       std::fprintf(stderr, "\n");
     }
-    journal->enable_checkpoints(
-        out, use_half_cache ? halves_path : "",
-        static_cast<std::size_t>(args.num("checkpoint-every")));
+    // Checkpoints rewrite <out>.halves from every half this scan holds, not
+    // only the ones it journals.
+    journal->enable_checkpoints(out, use_half_cache ? halves_path : "",
+                                args.count("checkpoint-every"), half_cache);
     if (half_cache_ptr != nullptr)
       half_cache.set_store_observer(
           [&journal](const dir::Fingerprint& host_w,
@@ -462,11 +474,12 @@ int cmd_scan(Args& args) {
   scan_options.stop = &g_stop;
   scan_options.quarantine.enabled = args.on("quarantine");
   scan_options.quarantine.threshold =
-      static_cast<int>(args.num("quarantine-threshold"));
+      static_cast<int>(args.count("quarantine-threshold"));
   scan_options.quarantine.cooldown =
-      Duration::seconds(args.num("quarantine-cooldown"));
+      Duration::seconds(
+          static_cast<std::int64_t>(args.count("quarantine-cooldown")));
   scan_options.quarantine.max_windows =
-      static_cast<int>(args.num("quarantine-max-windows"));
+      static_cast<int>(args.count("quarantine-max-windows"));
   const meas::ScanReport report = scanner.scan(
       subset, scan_options,
       [](std::size_t done, std::size_t total, const meas::PairResult& r) {
@@ -564,20 +577,19 @@ int run_daemon(Args& args, bool serving) {
   // synthetic environment (scenario/synthetic_env.h) of N relays.
   const bool synthetic = args.has("synthetic");
   if (synthetic) {
-    if (args.num("synthetic") < 2)
+    if (args.count("synthetic") < 2)
       throw UsageError("--synthetic wants a relay count >= 2, got " +
-                       std::to_string(args.num("synthetic")));
+                       std::to_string(args.count("synthetic")));
     args.set_default("half-cache", "off");
   }
-  const long relays_flag =
-      synthetic ? args.num("synthetic") : args.num("relays");
-  if (relays_flag < 2 || args.num("epochs") < 1 || args.num("shards") < 1 ||
+  const std::size_t relays =
+      synthetic ? args.count("synthetic") : args.count("relays");
+  if (relays < 2 || args.count("epochs") < 1 || args.count("shards") < 1 ||
       args.real("epoch-hours") <= 0 || args.real("ttl-hours") <= 0)
     throw UsageError("bad sizing flags: --relays must be >= 2, --epochs and "
                      "--shards >= 1, --epoch-hours and --ttl-hours > 0");
-  const auto relays = static_cast<std::size_t>(relays_flag);
-  const auto shards = static_cast<std::size_t>(args.num("shards"));
-  const int samples = static_cast<int>(args.num("samples"));
+  const std::size_t shards = args.count("shards");
+  const int samples = static_cast<int>(args.count("samples"));
   const std::string faults = merged_fault_spec(scn, args);
   const bool use_half_cache = args.on("half-cache");
   const bool adaptive = args.on("adaptive-samples");
@@ -640,10 +652,10 @@ int run_daemon(Args& args, bool serving) {
   }
 
   meas::DaemonOptions opt;
-  opt.epochs = static_cast<std::size_t>(args.num("epochs"));
+  opt.epochs = args.count("epochs");
   opt.epoch_interval = Duration::from_ms(args.real("epoch-hours") * 3600e3);
   opt.ttl = Duration::from_ms(args.real("ttl-hours") * 3600e3);
-  opt.budget = static_cast<std::size_t>(args.num("budget"));
+  opt.budget = args.count("budget");
   opt.coverage_target = args.real("coverage");
   opt.out = args.str("out");
   opt.resume = args.on("resume");
@@ -653,14 +665,13 @@ int run_daemon(Args& args, bool serving) {
   opt.stop = &g_stop;
   opt.engine.quarantine.enabled = args.on("quarantine");
   opt.engine.quarantine.threshold =
-      static_cast<int>(args.num("quarantine-threshold"));
+      static_cast<int>(args.count("quarantine-threshold"));
   opt.config_tag = tag;
 
   std::optional<serve::PathServer> server;
   if (serving) {
     serve::ServeOptions so;
-    so.candidates_per_length =
-        static_cast<std::size_t>(args.num("candidates"));
+    so.candidates_per_length = args.count("candidates");
     so.seed = seed;
     so.float32_snapshot = args.on("float32");
     server.emplace(so);
@@ -747,19 +758,27 @@ int cmd_serve(Args& args) { return run_daemon(args, true); }
 
 /// Load a matrix, publish it into a PathServer once, and answer one query.
 int cmd_query(Args& args) {
-  // Which query, checked before the matrix loads: --pair, else --through,
-  // else --band.
+  // Exactly one query, checked before the matrix loads.
+  std::vector<std::string> given;
+  for (const char* name : {"pair", "through", "band"})
+    if (args.has(name)) given.push_back(std::string("--") + name);
+  if (given.empty())
+    throw UsageError("query wants one of --pair, --through or --band");
+  if (given.size() > 1) {
+    std::string named = given[0];
+    for (std::size_t i = 1; i < given.size(); ++i)
+      named += (i + 1 == given.size() ? " and " : ", ") + given[i];
+    throw UsageError("query takes one selector, got " + named);
+  }
   std::optional<std::pair<long, long>> pair;
   std::optional<std::pair<double, double>> band;
   if (args.has("pair"))
     pair = parse_two<long>(args, "pair", ',', "i,j relay indices");
-  else if (args.has("band") && !args.has("through"))
+  else if (args.has("band"))
     band = parse_two<double>(args, "band", ':', "lo:hi in ms");
-  else if (!args.has("through"))
-    throw UsageError("query wants one of --pair, --through or --band");
   serve::ServeOptions so;
-  so.candidates_per_length = static_cast<std::size_t>(args.num("candidates"));
-  so.max_length = static_cast<std::size_t>(args.num("max-length"));
+  so.candidates_per_length = args.count("candidates");
+  so.max_length = args.count("max-length");
   so.seed = static_cast<std::uint64_t>(args.num("seed"));
   so.float32_snapshot = args.on("float32");
   const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
@@ -806,18 +825,17 @@ int cmd_query(Args& args) {
   }
   if (band.has_value()) {
     const auto [lo, hi] = *band;
-    const auto length = static_cast<std::size_t>(args.num("length"));
-    const auto circuits = server.circuits_in_band(
-        length, lo, hi, static_cast<std::size_t>(args.num("want")));
+    const auto length = args.count("length");
+    const auto circuits =
+        server.circuits_in_band(length, lo, hi, args.count("want"));
     std::printf("~%.3g circuits of length %zu in [%.0f, %.0f]ms; sampled:\n",
                 server.options_in_band(length, lo, hi), length, lo, hi);
     for (const auto& c : circuits) print_circuit(c);
     return 0;
   }
-  const auto* relay = node_at(args.num("through"));
+  const auto* relay = node_at(static_cast<long>(args.count("through")));
   if (relay == nullptr) return 2;
-  const auto circuits = server.fastest_through(
-      *relay, static_cast<std::size_t>(args.num("k")));
+  const auto circuits = server.fastest_through(*relay, args.count("k"));
   std::printf("fastest %zu 3-hop circuits with %s as middle:\n",
               circuits.size(), relay->short_name().c_str());
   for (const auto& c : circuits) print_circuit(c);
@@ -862,7 +880,7 @@ int cmd_tiv(Args& args) {
 }
 
 int cmd_deanon(Args& args) {
-  const int runs = static_cast<int>(args.num("runs"));
+  const int runs = static_cast<int>(args.count("runs"));
   const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
   analysis::DeanonWorld world;
   world.nodes = matrix.nodes();
@@ -908,7 +926,7 @@ int cmd_deanon(Args& args) {
 
 int cmd_coords(Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.num("seed"));
-  const long percent = args.num("percent");
+  const std::size_t percent = args.count("percent");
   const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
   analysis::VivaldiSystem vivaldi;
   Rng rng(seed);
@@ -1003,8 +1021,8 @@ int cmd_scenario(Args& args) {
 
 int cmd_coverage(Args& args) {
   scenario::TimelineOptions options;
-  options.days = static_cast<int>(args.num("days"));
-  options.initial_relays = static_cast<std::size_t>(args.num("relays"));
+  options.days = static_cast<int>(args.count("days"));
+  options.initial_relays = args.count("relays");
   const auto tl = scenario::make_timeline(options);
   std::printf("%s: %zu relays, %zu /24s  ->  %s: %zu relays, %zu /24s\n",
               tl.days.front().date.c_str(), tl.days.front().total_relays,
@@ -1022,18 +1040,18 @@ int cmd_coverage(Args& args) {
 
 const std::vector<Flag> kDaemonFlags = {
     {"scenario", kStr, "", "scenario name or file (sets defaults)"},
-    {"synthetic", kInt, "", "N-relay synthetic world (N >= 2), no testbed"},
-    {"relays", kInt, "20", "testbed relays"},
-    {"epochs", kInt, "6", "epochs to run"},
-    {"budget", kInt, "0", "pairs per epoch (0 = unlimited)"},
+    {"synthetic", kCount, "", "N-relay synthetic world (N >= 2), no testbed"},
+    {"relays", kCount, "20", "testbed relays"},
+    {"epochs", kCount, "6", "epochs to run"},
+    {"budget", kCount, "0", "pairs per epoch (0 = unlimited)"},
     {"epoch-hours", kReal, "1", "virtual hours per epoch"},
     {"ttl-hours", kReal, "168", "re-measure pairs older than this"},
     {"churn", kReal, "0.05", "per-epoch relay departure rate"},
     {"rejoin", kReal, "0.5", "per-epoch rejoin rate of departed relays"},
     {"absent", kReal, "0", "fraction of relays absent at epoch 0"},
     {"coverage", kReal, "0.99", "fresh-pair coverage that converges"},
-    {"samples", kInt, "50", "echo samples per circuit"},
-    {"shards", kInt, "1", "worker worlds (output does not depend on it)"},
+    {"samples", kCount, "50", "echo samples per circuit"},
+    {"shards", kCount, "1", "worker worlds (output does not depend on it)"},
     {"faults", kStr, "", "fault spec, after the scenario's (grammar below)"},
     {"seed", kInt, "1", "master seed"},
     {"noise", kReal, "0.5", "synthetic jitter, ms"},
@@ -1045,7 +1063,7 @@ const std::vector<Flag> kDaemonFlags = {
     {"adaptive-samples", kBool, "on", "stop sampling once the minimum settles"},
     {"journal", kBool, "on", "fsync each resolved pair for pair-level resume"},
     {"quarantine", kBool, "on", "bench relays that keep failing"},
-    {"quarantine-threshold", kInt, "3", "consecutive failures that trip it"},
+    {"quarantine-threshold", kCount, "3", "consecutive failures that trip it"},
 };
 
 std::vector<Flag> with(std::vector<Flag> flags,
@@ -1058,19 +1076,19 @@ const Flag kMatrix = {"matrix", kStr, "matrix.csv", "scan CSV or daemon store"};
 
 const std::vector<Command> kCommands = {
     {"measure", cmd_measure, "measure one relay pair with Ting", nullptr,
-     {{"relays", kInt, "60", "relays in the simulated world"},
-      {"samples", kInt, "200", "echo samples per circuit"},
-      {"x", kInt, "0", "index of relay x"},
-      {"y", kInt, "1", "index of relay y"},
+     {{"relays", kCount, "60", "relays in the simulated world"},
+      {"samples", kCount, "200", "echo samples per circuit"},
+      {"x", kCount, "0", "index of relay x"},
+      {"y", kCount, "1", "index of relay y"},
       {"seed", kInt, "1", "world seed"}}},
     {"scan", cmd_scan, "all-pairs scan to a CSV matrix", nullptr,
      {{"scenario", kStr, "", "scenario name or file (sets defaults)"},
-      {"relays", kInt, "25", "relays in the world"},
-      {"nodes", kInt, "12", "relays scanned"},
-      {"samples", kInt, "200", "echo samples per circuit"},
-      {"parallel", kInt, "1", "hosts per world; 1 is deterministic"},
-      {"shards", kInt, "1", "worker worlds, one thread each"},
-      {"cap", kInt, "1", "concurrent circuits per relay"},
+      {"relays", kCount, "25", "relays in the world"},
+      {"nodes", kCount, "12", "relays scanned"},
+      {"samples", kCount, "200", "echo samples per circuit"},
+      {"parallel", kCount, "1", "hosts per world; 1 is deterministic"},
+      {"shards", kCount, "1", "worker worlds, one thread each"},
+      {"cap", kCount, "1", "concurrent circuits per relay"},
       {"faults", kStr, "", "fault spec, after the scenario's (grammar below)"},
       {"seed", kInt, "1", "world and pair seed"},
       {"out", kStr, "matrix.csv", "matrix CSV; beside it .halves .journal"},
@@ -1079,27 +1097,28 @@ const std::vector<Command> kCommands = {
       {"pipeline", kBool, "on", "prebuild the next circuit (--parallel > 1)"},
       {"journal", kBool, "on", "fsync each resolved pair to <out>.journal"},
       {"resume", kBool, "off", "continue from <out>.journal"},
-      {"checkpoint-every", kInt, "25", "pairs between artifact checkpoints"},
+      {"checkpoint-every", kCount, "25", "pairs between artifact checkpoints"},
       {"quarantine", kBool, "on", "bench relays that keep failing"},
-      {"quarantine-threshold", kInt, "3", "consecutive failures that trip it"},
-      {"quarantine-cooldown", kInt, "600", "seconds a relay stays benched"},
-      {"quarantine-max-windows", kInt, "2", "windows before deferring"}}},
+      {"quarantine-threshold", kCount, "3",
+       "consecutive failures that trip it"},
+      {"quarantine-cooldown", kCount, "600", "seconds a relay stays benched"},
+      {"quarantine-max-windows", kCount, "2", "windows before deferring"}}},
     {"daemon", cmd_daemon, "continuous epoch-by-epoch scan into a store",
      nullptr, kDaemonFlags},
     {"serve", cmd_serve, "the daemon plus path-selection serving", nullptr,
      with(kDaemonFlags,
-          {{"candidates", kInt, "500", "sampled circuits per length"},
+          {{"candidates", kCount, "500", "sampled circuits per length"},
            {"float32", kBool, "off", "halve the snapshot image"}})},
     {"query", cmd_query, "path-selection queries off a matrix", nullptr,
      {kMatrix,
       {"pair", kStr, "", "i,j: direct RTT and best detour"},
-      {"through", kInt, "", "i: fastest 3-hop circuits with i as middle"},
-      {"k", kInt, "5", "circuits for --through"},
+      {"through", kCount, "", "i: fastest 3-hop circuits with i as middle"},
+      {"k", kCount, "5", "circuits for --through"},
       {"band", kStr, "", "lo:hi: circuits with RTT in [lo, hi] ms"},
-      {"length", kInt, "3", "circuit length for --band"},
-      {"want", kInt, "5", "circuits sampled for --band"},
-      {"candidates", kInt, "2000", "sampled circuits per length"},
-      {"max-length", kInt, "6", "longest circuit indexed"},
+      {"length", kCount, "3", "circuit length for --band"},
+      {"want", kCount, "5", "circuits sampled for --band"},
+      {"candidates", kCount, "2000", "sampled circuits per length"},
+      {"max-length", kCount, "6", "longest circuit indexed"},
       {"seed", kInt, "1", "sampling seed"},
       {"float32", kBool, "off", "halve the snapshot image"}}},
     {"convert", cmd_convert, "matrix format conversion", nullptr,
@@ -1108,14 +1127,14 @@ const std::vector<Command> kCommands = {
       {"bin", kStr, "", "write the binary store here"}}},
     {"tiv", cmd_tiv, "triangle-inequality report", nullptr, {kMatrix}},
     {"deanon", cmd_deanon, "deanonymization strategy comparison", nullptr,
-     {kMatrix, {"runs", kInt, "300", "sampled circuits per strategy"}}},
+     {kMatrix, {"runs", kCount, "300", "sampled circuits per strategy"}}},
     {"coords", cmd_coords, "Vivaldi-embedding comparison", nullptr,
      {kMatrix,
       {"seed", kInt, "2", "embedding seed"},
-      {"percent", kInt, "100", "percent of pairs the embedding trains on"}}},
+      {"percent", kCount, "100", "percent of pairs the embedding trains on"}}},
     {"coverage", cmd_coverage, "consensus timeline and host classes", nullptr,
-     {{"days", kInt, "60", "days of consensus history"},
-      {"relays", kInt, "6400", "relays on day one"}}},
+     {{"days", kCount, "60", "days of consensus history"},
+      {"relays", kCount, "6400", "relays on day one"}}},
     {"scenario", cmd_scenario, "scenario library tooling",
      "list | show <name|path> [--raw] | validate <name|path>",
      {{"raw", kBool, "off", "show prints the exact file text"}}},
@@ -1142,7 +1161,7 @@ void usage(const Command* only) {
     std::fprintf(stderr, "  %-9s %s\n", c.name, c.summary);
     if (c.operands != nullptr) std::fprintf(stderr, "    %s\n", c.operands);
     for (const Flag& f : c.flags) {
-      static constexpr const char* kMetavar[] = {" N", " X", " STR", ""};
+      static constexpr const char* kMetavar[] = {" N", " N", " X", " STR", ""};
       const std::string lhs =
           (f.kind == kBool ? "--[no-]" : "--") + std::string(f.name) +
           kMetavar[static_cast<int>(f.kind)];
