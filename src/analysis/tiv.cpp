@@ -44,12 +44,12 @@ TivSummary tiv_summary(const meas::RttMatrix& matrix) {
   const std::size_t n = snapshot.node_count();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      const auto& d = detours.at(i, j);
+      const serve::DetourIndex::Detour d = detours.at(snapshot, i, j);
       if (!d.tiv) continue;
       TivFinding f;
       f.a = snapshot.node(i);
       f.b = snapshot.node(j);
-      f.detour = snapshot.node(static_cast<std::size_t>(d.via));
+      f.detour = snapshot.node(d.via);
       f.direct_ms = snapshot.rtt_raw(i, j);
       f.detour_ms = d.detour_ms;
       out.findings.push_back(std::move(f));

@@ -6,6 +6,7 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "crypto/x25519.h"
@@ -25,6 +26,12 @@ class Fingerprint {
   /// Parse 40 hex digits (optionally preceded by '$' as in the control
   /// protocol). Throws CheckError on malformed input.
   static Fingerprint from_hex(const std::string& hex);
+  /// Copy kLen raw bytes (the binary stores' layout).
+  static Fingerprint from_bytes(const std::uint8_t* raw) {
+    Fingerprint f;
+    std::memcpy(f.id_.data(), raw, kLen);
+    return f;
+  }
 
   std::string hex() const;           ///< 40 lowercase hex digits
   std::string short_name() const;    ///< first 8 digits, for logs

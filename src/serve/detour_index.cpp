@@ -30,14 +30,6 @@ Lanes load(const double* p) {
   std::memcpy(&v, p, sizeof v);
   return v;
 }
-/// float32 images widen each value to double before the add, exactly as
-/// MatrixSnapshot::rtt_raw does (NaN stays NaN).
-Lanes load(const float* p) {
-  using Narrow = float __attribute__((vector_size(8)));
-  Narrow v;
-  std::memcpy(&v, p, sizeof v);
-  return __builtin_convertvector(v, Lanes);
-}
 
 /// One pair's sweep state: the smallest detour sum so far and the first
 /// chunk that reached it.
@@ -52,9 +44,9 @@ struct Running {
 /// every comparison, as unmeasured legs do. Kept out of line so its hot
 /// loop is register-allocated on its own: inlined into the sweep, GCC
 /// spilled the row pointers and reloaded them every step.
-template <std::size_t TI, typename T>
-[[gnu::noinline]] void min_plus_tile(const T* const (&ri)[TI],
-                                     const T* const (&rj)[kTileJ],
+template <std::size_t TI>
+[[gnu::noinline]] void min_plus_tile(const double* const (&ri)[TI],
+                                     const double* const (&rj)[kTileJ],
                                      std::size_t n,
                                      Running (&run)[TI][kTileJ]) {
   for (std::size_t c0 = 0; c0 < n; c0 += kChunk) {
@@ -81,8 +73,7 @@ template <std::size_t TI, typename T>
       for (std::size_t b = 0; b < kTileJ; ++b) {
         double m = acc[a][b][1] < acc[a][b][0] ? acc[a][b][1] : acc[a][b][0];
         if (k < c1) {  // odd chunk tail
-          const double sum = static_cast<double>(ri[a][k]) +
-                             static_cast<double>(rj[b][k]);
+          const double sum = ri[a][k] + rj[b][k];
           if (sum < m) m = sum;
         }
         // Strictly below: a later chunk that only ties keeps the earlier.
@@ -91,95 +82,97 @@ template <std::size_t TI, typename T>
   }
 }
 
-/// The pair's entry once its sweep is done: via is the first k in the best
-/// chunk whose sum equals the minimum, and detour_ms that k's sum. A
-/// k-ascending strict-less scan picks the same k (lowest index on ties) and
-/// so the same bits, even where equal sums differ in the sign of zero.
-template <typename T>
-DetourIndex::Detour resolve(const T* ri, const T* rj, std::size_t n,
-                            std::size_t j, const Running& run) {
+/// The pair's via once its sweep is done: the first k in the best chunk
+/// whose sum equals the minimum. A k-ascending strict-less scan picks the
+/// same k (lowest index on ties), so derive() reads back the same bits, even
+/// where equal sums differ in the sign of zero.
+std::uint32_t resolve(const double* ri, const double* rj, std::size_t n,
+                      const Running& run) {
+  if (run.chunk == kNoChunk) return DetourIndex::kNone;
+  const std::size_t end = std::min(n, run.chunk + kChunk);
+  for (std::size_t k = run.chunk; k < end; ++k)
+    if (ri[k] + rj[k] == run.best) return static_cast<std::uint32_t>(k);
+  return DetourIndex::kNone;
+}
+
+/// Pair (i, j)'s entry from its via and rows i and j. detour_ms is the add
+/// the kernel compared (IEEE addition commutes, so either row order gives
+/// its bits).
+DetourIndex::Detour derive(const double* ri, const double* rj, std::size_t j,
+                           std::uint32_t via) {
   DetourIndex::Detour d;
-  if (run.chunk != kNoChunk) {
-    const std::size_t end = std::min(n, run.chunk + kChunk);
-    for (std::size_t k = run.chunk; k < end; ++k) {
-      const double sum =
-          static_cast<double>(ri[k]) + static_cast<double>(rj[k]);
-      if (sum == run.best) {
-        d.via = static_cast<std::int32_t>(k);
-        d.detour_ms = sum;
-        break;
-      }
-    }
-  }
-  const double direct = static_cast<double>(ri[j]);
+  d.via = via;
+  if (via != DetourIndex::kNone) d.detour_ms = ri[via] + rj[via];
+  const double direct = ri[j];
   d.measured = !std::isnan(direct);
   d.tiv = d.measured && d.detour_ms < direct;
   return d;
 }
 
 /// Every pair (is[a], js[b]) through the kernel, in tiles of TI rows ×
-/// kTileJ columns, each handed to emit(i, j, detour). A short last tile
-/// repeats its last column; the repeat re-emits the same entry.
-template <std::size_t TI, typename T, typename Emit>
+/// kTileJ columns, each handed to emit(i, j, via). A short last tile
+/// repeats its last column; the repeat re-emits the same via.
+template <std::size_t TI, typename Emit>
 void sweep_rows(const MatrixSnapshot& snapshot, const std::size_t (&is)[TI],
                 const std::vector<std::size_t>& js, Emit& emit) {
   const std::size_t n = snapshot.node_count();
-  const auto row = [&](std::size_t r) { return snapshot.row<T>(r).data(); };
-  const T* ri[TI];
+  const auto row = [&](std::size_t r) { return snapshot.row(r).data(); };
+  const double* ri[TI];
   for (std::size_t a = 0; a < TI; ++a) ri[a] = row(is[a]);
   for (std::size_t b0 = 0; b0 < js.size(); b0 += kTileJ) {
     std::size_t cols[kTileJ];
-    const T* rj[kTileJ];
+    const double* rj[kTileJ];
     for (std::size_t b = 0; b < kTileJ; ++b)
       rj[b] = row(cols[b] = js[std::min(b0 + b, js.size() - 1)]);
     Running run[TI][kTileJ];
     min_plus_tile(ri, rj, n, run);
     for (std::size_t b = 0; b < kTileJ; ++b)
       for (std::size_t a = 0; a < TI; ++a)
-        emit(is[a], cols[b], resolve(ri[a], rj[b], n, cols[b], run[a][b]));
+        emit(is[a], cols[b], resolve(ri[a], rj[b], n, run[a][b]));
   }
-}
-
-/// Call f.template operator()<T>() with T the snapshot's element type.
-template <typename F>
-void with_storage(const MatrixSnapshot& snapshot, F&& f) {
-  if (snapshot.storage() == SnapshotStorage::kFloat32)
-    f.template operator()<float>();
-  else
-    f.template operator()<double>();
 }
 
 }  // namespace
 
-void DetourIndex::assign(std::size_t i, std::size_t j, const Detour& d) {
-  Detour& slot = best_[tri(i, j)];
-  measured_pairs_ -= slot.measured ? 1 : 0;
-  tiv_pairs_ -= slot.tiv ? 1 : 0;
-  slot = d;
-  measured_pairs_ += slot.measured ? 1 : 0;
-  tiv_pairs_ += slot.tiv ? 1 : 0;
+DetourIndex::Detour DetourIndex::at(const MatrixSnapshot& snapshot,
+                                    std::size_t i, std::size_t j) const {
+  TING_CHECK(snapshot.node_count() == n_ && i != j && i < n_ && j < n_);
+  return derive(snapshot.row(i).data(), snapshot.row(j).data(), j,
+                via_[tri(i, j)]);
+}
+
+void DetourIndex::recount(const MatrixSnapshot& snapshot) {
+  measured_pairs_ = tiv_pairs_ = 0;
+  std::size_t t = 0;  // tri(i, j) for the pairs in this order
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double* ri = snapshot.row(i).data();
+    for (std::size_t j = i + 1; j < n_; ++j) {
+      const Detour d = derive(ri, snapshot.row(j).data(), j, via_[t++]);
+      measured_pairs_ += d.measured ? 1 : 0;
+      tiv_pairs_ += d.tiv ? 1 : 0;
+    }
+  }
 }
 
 DetourIndex DetourIndex::build(const MatrixSnapshot& snapshot) {
   DetourIndex idx;
   const std::size_t n = idx.n_ = snapshot.node_count();
-  idx.best_.assign(n * (n - 1) / 2, Detour{});
-  const auto emit = [&idx](std::size_t i, std::size_t j, const Detour& d) {
-    idx.assign(i, j, d);
+  idx.via_.assign(n * (n - 1) / 2, kNone);
+  const auto emit = [&idx](std::size_t i, std::size_t j, std::uint32_t via) {
+    idx.via_[idx.tri(i, j)] = via;
   };
   // Rows i and i+1 against every j > i+1 in two-row tiles, and the pair
   // (i, i+1) on its own.
-  with_storage(snapshot, [&]<typename T>() {
-    std::vector<std::size_t> js;
-    js.reserve(n);
-    for (std::size_t i = 0; i + 1 < n; i += kTileI) {
-      js.assign(1, i + 1);
-      sweep_rows<1, T>(snapshot, {i}, js, emit);
-      js.clear();
-      for (std::size_t j = i + 2; j < n; ++j) js.push_back(j);
-      sweep_rows<kTileI, T>(snapshot, {i, i + 1}, js, emit);
-    }
-  });
+  std::vector<std::size_t> js;
+  js.reserve(n);
+  for (std::size_t i = 0; i + 1 < n; i += kTileI) {
+    js.assign(1, i + 1);
+    sweep_rows<1>(snapshot, {i}, js, emit);
+    js.clear();
+    for (std::size_t j = i + 2; j < n; ++j) js.push_back(j);
+    sweep_rows<kTileI>(snapshot, {i, i + 1}, js, emit);
+  }
+  idx.recount(snapshot);
   return idx;
 }
 
@@ -195,20 +188,19 @@ void DetourIndex::update(const MatrixSnapshot& snapshot,
     TING_CHECK(r < n_);
     is_changed[r] = true;
   }
-  const auto emit = [this](std::size_t i, std::size_t j, const Detour& d) {
-    assign(i, j, d);
+  const auto emit = [this](std::size_t i, std::size_t j, std::uint32_t via) {
+    via_[tri(i, j)] = via;
   };
-  with_storage(snapshot, [&]<typename T>() {
-    std::vector<std::size_t> js;
-    js.reserve(n_);
-    for (std::size_t r = 0; r < n_; ++r) {
-      if (!is_changed[r]) continue;
-      js.clear();
-      for (std::size_t x = 0; x < n_; ++x)
-        if (x != r && !(is_changed[x] && x < r)) js.push_back(x);
-      sweep_rows<1, T>(snapshot, {r}, js, emit);
-    }
-  });
+  std::vector<std::size_t> js;
+  js.reserve(n_);
+  for (std::size_t r = 0; r < n_; ++r) {
+    if (!is_changed[r]) continue;
+    js.clear();
+    for (std::size_t x = 0; x < n_; ++x)
+      if (x != r && !(is_changed[x] && x < r)) js.push_back(x);
+    sweep_rows<1>(snapshot, {r}, js, emit);
+  }
+  recount(snapshot);
 }
 
 }  // namespace ting::serve

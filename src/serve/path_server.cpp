@@ -10,6 +10,13 @@ namespace ting::serve {
 
 namespace {
 
+/// Shortest circuit length with a candidate table.
+constexpr std::size_t kMinLength = 3;
+/// Patch the detour index incrementally only while the changed-relay set
+/// stays below this fraction of the snapshot; above it a full O(n³) rebuild
+/// is cheaper than |changed|·n² patching.
+constexpr double kFullRebuildFraction = 0.5;
+
 /// C(n, k) at double precision (a local copy: serve must not depend on
 /// analysis, which itself builds on this library).
 double choose(std::size_t n, std::size_t k) {
@@ -20,18 +27,24 @@ double choose(std::size_t n, std::size_t k) {
   return result;
 }
 
-std::vector<std::vector<std::pair<double, std::uint32_t>>> build_neighbors(
-    const MatrixSnapshot& snapshot) {
+NeighborLists build_neighbors(const MatrixSnapshot& snapshot) {
   const std::size_t n = snapshot.node_count();
-  std::vector<std::vector<std::pair<double, std::uint32_t>>> out(n);
+  NeighborLists out;
+  out.ids.reserve(2 * snapshot.pair_count());  // each pair lists both ends
+  out.offsets.reserve(n + 1);
+  out.offsets.push_back(0);
+  std::vector<std::pair<double, std::uint32_t>> sorted;  // one row's
+  sorted.reserve(n);
   for (std::size_t r = 0; r < n; ++r) {
-    auto& list = out[r];
-    for (std::size_t x = 0; x < n; ++x) {
-      if (x == r) continue;
-      const double rtt = snapshot.rtt_raw(r, x);
-      if (!std::isnan(rtt)) list.emplace_back(rtt, static_cast<std::uint32_t>(x));
-    }
-    std::sort(list.begin(), list.end());
+    // The NaN diagonal keeps r out of its own row.
+    const std::span<const double> row = snapshot.row(r);
+    sorted.clear();
+    for (std::size_t x = 0; x < n; ++x)
+      if (!std::isnan(row[x]))
+        sorted.emplace_back(row[x], static_cast<std::uint32_t>(x));
+    std::sort(sorted.begin(), sorted.end());
+    for (const auto& [rtt, x] : sorted) out.ids.push_back(x);
+    out.offsets.push_back(out.ids.size());
   }
   return out;
 }
@@ -40,39 +53,38 @@ std::vector<CandidateTable> build_tables(const MatrixSnapshot& snapshot,
                                          const ServeOptions& options) {
   std::vector<CandidateTable> tables;
   const std::size_t n = snapshot.node_count();
-  for (std::size_t len = options.min_length; len <= options.max_length;
+  // A circuit has distinct relays, so no length above n has a table.
+  for (std::size_t len = kMinLength; len <= std::min(options.max_length, n);
        ++len) {
     CandidateTable table;
     table.length = len;
-    if (len >= 2 && len <= n) {
-      // Deterministic per-length stream: rebuilding the same snapshot with
-      // the same options yields byte-identical tables.
-      Rng rng(mix64(options.seed ^ mix64(static_cast<std::uint64_t>(len))));
-      table.sampled = options.candidates_per_length;
-      for (std::size_t i = 0; i < table.sampled; ++i) {
-        std::vector<std::size_t> path = rng.sample_indices(n, len);
-        const auto rtt = snapshot.path_rtt_ms(path);
-        if (!rtt.has_value()) continue;  // incomplete: unmeasured hop
-        ServedCircuit c;
-        c.rtt_ms = *rtt;
-        c.path.reserve(len);
-        for (std::size_t idx : path)
-          c.path.push_back(static_cast<std::uint32_t>(idx));
-        table.circuits.push_back(std::move(c));
-      }
-      std::sort(table.circuits.begin(), table.circuits.end(),
-                [](const ServedCircuit& a, const ServedCircuit& b) {
-                  return a.rtt_ms != b.rtt_ms ? a.rtt_ms < b.rtt_ms
-                                              : a.path < b.path;
-                });
-      // Drop exact duplicate draws so band answers are distinct circuits.
-      table.circuits.erase(
-          std::unique(table.circuits.begin(), table.circuits.end(),
-                      [](const ServedCircuit& a, const ServedCircuit& b) {
-                        return a.path == b.path;
-                      }),
-          table.circuits.end());
+    // Deterministic per-length stream: rebuilding the same snapshot with
+    // the same options yields byte-identical tables.
+    Rng rng(mix64(options.seed ^ mix64(static_cast<std::uint64_t>(len))));
+    table.sampled = options.candidates_per_length;
+    for (std::size_t i = 0; i < table.sampled; ++i) {
+      std::vector<std::size_t> path = rng.sample_indices(n, len);
+      const auto rtt = snapshot.path_rtt_ms(path);
+      if (!rtt.has_value()) continue;  // incomplete: unmeasured hop
+      ServedCircuit c;
+      c.rtt_ms = *rtt;
+      c.path.reserve(len);
+      for (std::size_t idx : path)
+        c.path.push_back(static_cast<std::uint32_t>(idx));
+      table.circuits.push_back(std::move(c));
     }
+    std::sort(table.circuits.begin(), table.circuits.end(),
+              [](const ServedCircuit& a, const ServedCircuit& b) {
+                return a.rtt_ms != b.rtt_ms ? a.rtt_ms < b.rtt_ms
+                                            : a.path < b.path;
+              });
+    // Drop exact duplicate draws so band answers are distinct circuits.
+    table.circuits.erase(
+        std::unique(table.circuits.begin(), table.circuits.end(),
+                    [](const ServedCircuit& a, const ServedCircuit& b) {
+                      return a.path == b.path;
+                    }),
+        table.circuits.end());
     tables.push_back(std::move(table));
   }
   return tables;
@@ -80,10 +92,27 @@ std::vector<CandidateTable> build_tables(const MatrixSnapshot& snapshot,
 
 }  // namespace
 
+std::size_t NeighborLists::memory_bytes() const {
+  return ids.capacity() * sizeof(std::uint32_t) +
+         offsets.capacity() * sizeof(std::size_t);
+}
+
 const CandidateTable* ServingState::table_for(std::size_t length) const {
-  for (const CandidateTable& t : tables)
-    if (t.length == length) return &t;
-  return nullptr;
+  if (length < kMinLength || length - kMinLength >= tables.size())
+    return nullptr;
+  return &tables[length - kMinLength];
+}
+
+std::size_t ServingState::memory_bytes() const {
+  std::size_t bytes = snapshot.memory_bytes() + detours.memory_bytes() +
+                      neighbors.memory_bytes() +
+                      tables.capacity() * sizeof(CandidateTable);
+  for (const CandidateTable& t : tables) {
+    bytes += t.circuits.capacity() * sizeof(ServedCircuit);
+    for (const ServedCircuit& c : t.circuits)
+      bytes += c.path.capacity() * sizeof(std::uint32_t);
+  }
+  return bytes;
 }
 
 PathServer::PathServer(ServeOptions options) : options_(options) {}
@@ -107,7 +136,7 @@ void PathServer::publish(MatrixSnapshot snapshot,
         changed_indices.push_back(*i);
     incremental =
         static_cast<double>(changed_indices.size()) <
-        options_.full_rebuild_fraction *
+        kFullRebuildFraction *
             static_cast<double>(next->snapshot.node_count());
   }
   if (incremental) {
@@ -129,10 +158,7 @@ void PathServer::publish(MatrixSnapshot snapshot,
 void PathServer::publish(const meas::RttMatrix& matrix, std::uint64_t epoch,
                          TimePoint stamp,
                          const std::vector<dir::Fingerprint>& changed) {
-  const SnapshotStorage storage = options_.float32_snapshot
-                                      ? SnapshotStorage::kFloat32
-                                      : SnapshotStorage::kFloat64;
-  publish(MatrixSnapshot::build(matrix, epoch, stamp, storage), changed);
+  publish(MatrixSnapshot::build(matrix, epoch, stamp), changed);
 }
 
 std::optional<double> PathServer::rtt(const dir::Fingerprint& a,
@@ -149,10 +175,10 @@ std::optional<PathServer::DetourRoute> PathServer::best_detour(
   const auto i = st->snapshot.index_of(a);
   const auto j = st->snapshot.index_of(b);
   if (!i.has_value() || !j.has_value() || *i == *j) return std::nullopt;
-  const DetourIndex::Detour& d = st->detours.at(*i, *j);
+  const DetourIndex::Detour d = st->detours.at(st->snapshot, *i, *j);
   if (d.via == DetourIndex::kNone) return std::nullopt;
   DetourRoute route;
-  route.via = st->snapshot.node(static_cast<std::size_t>(d.via));
+  route.via = st->snapshot.node(d.via);
   route.direct_ms = st->snapshot.rtt(*i, *j);
   route.detour_ms = d.detour_ms;
   route.tiv = d.tiv;
@@ -166,7 +192,8 @@ std::vector<PathServer::Circuit> PathServer::fastest_through(
   if (st == nullptr || k == 0) return out;
   const auto r = st->snapshot.index_of(relay);
   if (!r.has_value()) return out;
-  const auto& neigh = st->neighbors[*r];
+  const std::span<const std::uint32_t> neigh = st->neighbors.row(*r);
+  const std::span<const double> rtt = st->snapshot.row(*r);
   const std::size_t m = neigh.size();
   if (m < 2) return out;
 
@@ -182,15 +209,15 @@ std::vector<PathServer::Circuit> PathServer::fastest_through(
   const auto push = [&](std::size_t ia, std::size_t ib) {
     if (ib >= m || ia >= ib) return;
     if (!seen.emplace(ia, ib).second) return;
-    heap.push(Node{neigh[ia].first + neigh[ib].first, ia, ib});
+    heap.push(Node{rtt[neigh[ia]] + rtt[neigh[ib]], ia, ib});
   };
   push(0, 1);
   while (!heap.empty() && out.size() < k) {
     const Node top = heap.top();
     heap.pop();
     Circuit c;
-    c.relays = {st->snapshot.node(neigh[top.ia].second), relay,
-                st->snapshot.node(neigh[top.ib].second)};
+    c.relays = {st->snapshot.node(neigh[top.ia]), relay,
+                st->snapshot.node(neigh[top.ib])};
     c.rtt_ms = top.sum;
     out.push_back(std::move(c));
     push(top.ia, top.ib + 1);

@@ -11,7 +11,9 @@
 // Design: all derived read structures — the dense MatrixSnapshot, the
 // DetourIndex, per-relay neighbor lists sorted by RTT, and per-length
 // band-candidate tables (the circuit-selection literature's sampled
-// candidate sets) — are bundled into one immutable ServingState. The writer
+// candidate sets) — are bundled into one immutable ServingState. Only the
+// snapshot holds RTTs; the index and the neighbor lists hold node indices
+// and read every value back off it. The writer
 // (daemon checkpoint hook, or anyone calling publish()) builds the next
 // state off to the side and installs it with a single atomic shared_ptr
 // swap. Readers load the pointer once per query and run entirely against
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dir/fingerprint.h"
@@ -39,22 +42,14 @@
 namespace ting::serve {
 
 struct ServeOptions {
-  /// Candidate-table circuit lengths [min_length, max_length].
-  std::size_t min_length = 3;
+  /// Longest circuit length with a candidate table. Tables cover lengths 3
+  /// through min(max_length, n) for an n-relay snapshot.
   std::size_t max_length = 6;
   /// Circuits sampled per length when building a table. Tables are samples,
   /// not enumerations — C(n, ℓ) is astronomically larger than any table.
   std::size_t candidates_per_length = 2000;
   /// Seed for the deterministic candidate sampling.
   std::uint64_t seed = 1;
-  /// Patch the detour index incrementally only while the changed-relay set
-  /// stays below this fraction of the snapshot; above it a full O(n³)
-  /// rebuild is cheaper than |changed|·n² patching.
-  double full_rebuild_fraction = 0.5;
-  /// Build published snapshots in float32 storage, halving the dense RTT
-  /// image (288 MB → 144 MB at 6,000 relays; see SnapshotStorage). Off by
-  /// default: float64 round-trips the store bit-exactly.
-  bool float32_snapshot = false;
 };
 
 /// One sampled circuit, as node indices into the owning snapshot.
@@ -72,16 +67,31 @@ struct CandidateTable {
   std::vector<ServedCircuit> circuits;  ///< complete circuits, RTT-ascending
 };
 
+/// Per relay, every measured neighbor's node index, sorted by (rtt, index)
+/// with the RTTs read off the snapshot — fastest-k enumeration walks a row
+/// from the front. One flat array: row r is ids[offsets[r], offsets[r + 1]).
+struct NeighborLists {
+  std::vector<std::uint32_t> ids;
+  std::vector<std::size_t> offsets;  ///< n + 1 entries
+
+  std::span<const std::uint32_t> row(std::size_t r) const {
+    return {ids.data() + offsets[r], offsets[r + 1] - offsets[r]};
+  }
+  std::size_t memory_bytes() const;
+};
+
 /// Everything a query needs, immutable once published.
 struct ServingState {
   MatrixSnapshot snapshot;
   DetourIndex detours;
-  /// Per relay, every measured neighbor as (rtt_ms, node index), RTT-
-  /// ascending — fastest-k enumeration walks these from the front.
-  std::vector<std::vector<std::pair<double, std::uint32_t>>> neighbors;
-  std::vector<CandidateTable> tables;  ///< index: length − min_length
+  NeighborLists neighbors;
+  std::vector<CandidateTable> tables;  ///< index: length − 3
 
+  /// The table for `length`, or nullptr when none was built for it.
   const CandidateTable* table_for(std::size_t length) const;
+  /// Heap bytes of the snapshot, the detour index, the neighbor lists and
+  /// the candidate tables.
+  std::size_t memory_bytes() const;
 };
 
 class PathServer {
@@ -97,7 +107,7 @@ class PathServer {
   /// of rebuilt. Pass empty to force a full rebuild.
   void publish(MatrixSnapshot snapshot,
                const std::vector<dir::Fingerprint>& changed = {});
-  /// Snapshot `matrix` (in the storage ServeOptions selects) and publish it.
+  /// Snapshot `matrix` and publish it.
   void publish(const meas::RttMatrix& matrix, std::uint64_t epoch = 0,
                TimePoint stamp = {},
                const std::vector<dir::Fingerprint>& changed = {});

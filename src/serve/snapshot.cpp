@@ -9,36 +9,21 @@ void MatrixSnapshot::index_nodes(std::vector<dir::Fingerprint> nodes) {
   index_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     index_.emplace(nodes_[i], static_cast<std::uint32_t>(i));
-  // Exactly one flat array is ever populated; the other stays empty.
-  if (storage_ == SnapshotStorage::kFloat32)
-    rtt32_.assign(nodes_.size() * nodes_.size(),
-                  std::numeric_limits<float>::quiet_NaN());
-  else
-    rtt_.assign(nodes_.size() * nodes_.size(),
-                std::numeric_limits<double>::quiet_NaN());
+  rtt_.assign(nodes_.size() * nodes_.size(),
+              std::numeric_limits<double>::quiet_NaN());
 }
 
 void MatrixSnapshot::set_pair(std::size_t i, std::size_t j, double rtt_ms) {
-  const std::size_t ij = i * nodes_.size() + j;
-  const std::size_t ji = j * nodes_.size() + i;
-  if (storage_ == SnapshotStorage::kFloat32) {
-    const float narrow = static_cast<float>(rtt_ms);
-    rtt32_[ij] = narrow;
-    rtt32_[ji] = narrow;
-  } else {
-    rtt_[ij] = rtt_ms;
-    rtt_[ji] = rtt_ms;
-  }
+  rtt_[i * nodes_.size() + j] = rtt_ms;
+  rtt_[j * nodes_.size() + i] = rtt_ms;
   ++pair_count_;
 }
 
 MatrixSnapshot MatrixSnapshot::build(const meas::RttMatrix& matrix,
-                                     std::uint64_t epoch, TimePoint stamp,
-                                     SnapshotStorage storage) {
+                                     std::uint64_t epoch, TimePoint stamp) {
   MatrixSnapshot s;
   s.epoch_ = epoch;
   s.stamp_ = stamp;
-  s.storage_ = storage;
   s.index_nodes(matrix.nodes());
   matrix.for_each_pair(s.nodes_, [&s](std::size_t i, std::size_t j,
                                       const meas::RttMatrix::Entry& e) {
@@ -49,7 +34,6 @@ MatrixSnapshot MatrixSnapshot::build(const meas::RttMatrix& matrix,
 
 std::size_t MatrixSnapshot::memory_bytes() const {
   std::size_t bytes = rtt_.capacity() * sizeof(double) +
-                      rtt32_.capacity() * sizeof(float) +
                       nodes_.capacity() * sizeof(dir::Fingerprint);
   // Hash-map estimate mirrors RttMatrix::memory_bytes: per-node
   // payload + two list pointers, plus the bucket array.

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -40,13 +39,6 @@
 
 namespace ting::serve {
 
-/// Storage precision of the flat RTT array. kFloat32 halves the dense image
-/// (288 MB → 144 MB at 6,000 relays) at ≤6e-8 relative rounding error —
-/// orders of magnitude below measurement noise, and NaN-coding survives the
-/// float↔double conversion. Opt-in (default float64) because the wide mode
-/// round-trips the stores' doubles bit-exactly.
-enum class SnapshotStorage : std::uint8_t { kFloat64, kFloat32 };
-
 class MatrixSnapshot {
  public:
   MatrixSnapshot() = default;
@@ -55,8 +47,7 @@ class MatrixSnapshot {
   /// `stamp` identify which checkpoint this image reflects (readers use
   /// them to reason about staleness; see PROTOCOL.md).
   static MatrixSnapshot build(const meas::RttMatrix& matrix,
-                              std::uint64_t epoch = 0, TimePoint stamp = {},
-                              SnapshotStorage storage = SnapshotStorage::kFloat64);
+                              std::uint64_t epoch = 0, TimePoint stamp = {});
 
   std::size_t node_count() const { return nodes_.size(); }
   /// All relays in the snapshot, sorted by fingerprint (index order).
@@ -72,13 +63,8 @@ class MatrixSnapshot {
 
   /// The query hot path: one array read, NaN when the pair is unmeasured
   /// (and on the diagonal — a relay has no RTT to itself worth serving).
-  /// Float32 images widen on read (NaN propagates), so every consumer —
-  /// DetourIndex, neighbor lists, band tables — is storage-agnostic.
   double rtt_raw(std::size_t i, std::size_t j) const {
-    const std::size_t idx = i * nodes_.size() + j;
-    return storage_ == SnapshotStorage::kFloat32
-               ? static_cast<double>(rtt32_[idx])
-               : rtt_[idx];
+    return rtt_[i * nodes_.size() + j];
   }
   bool has(std::size_t i, std::size_t j) const {
     return !std::isnan(rtt_raw(i, j));
@@ -91,13 +77,10 @@ class MatrixSnapshot {
   std::optional<double> rtt(const dir::Fingerprint& a,
                             const dir::Fingerprint& b) const;
 
-  /// Row i in storage precision: n contiguous values, R(i, k) at [k]. T is
-  /// double for a kFloat64 image and float for a kFloat32 one.
-  template <typename T>
-  std::span<const T> row(std::size_t i) const {
-    const std::vector<T>& flat = image<T>();
-    TING_CHECK(!flat.empty() && i < nodes_.size());
-    return {flat.data() + i * nodes_.size(), nodes_.size()};
+  /// Row i: n contiguous values, R(i, k) at [k].
+  std::span<const double> row(std::size_t i) const {
+    TING_CHECK(i < nodes_.size());
+    return {rtt_.data() + i * nodes_.size(), nodes_.size()};
   }
 
   /// Sum of consecutive-hop RTTs along a path of node indices; nullopt when
@@ -111,27 +94,16 @@ class MatrixSnapshot {
 
   std::uint64_t epoch() const { return epoch_; }
   TimePoint stamp() const { return stamp_; }
-  SnapshotStorage storage() const { return storage_; }
-  /// Heap bytes of the flat RTT array plus the fingerprint index — the
-  /// number the float32 mode halves (modulo the index).
+  /// Heap bytes of the flat RTT array plus the fingerprint index.
   std::size_t memory_bytes() const;
 
  private:
-  template <typename T>
-  const std::vector<T>& image() const {
-    if constexpr (std::is_same_v<T, float>)
-      return rtt32_;
-    else
-      return rtt_;
-  }
   void index_nodes(std::vector<dir::Fingerprint> nodes);
   void set_pair(std::size_t i, std::size_t j, double rtt_ms);
 
   std::vector<dir::Fingerprint> nodes_;  ///< sorted; index order
   std::unordered_map<dir::Fingerprint, std::uint32_t> index_;
-  SnapshotStorage storage_ = SnapshotStorage::kFloat64;
-  std::vector<double> rtt_;   ///< n×n, symmetric, NaN = unmeasured (float64)
-  std::vector<float> rtt32_;  ///< same image in float32 mode
+  std::vector<double> rtt_;  ///< n×n, symmetric, NaN = unmeasured
   std::size_t pair_count_ = 0;
   std::uint64_t epoch_ = 0;
   TimePoint stamp_;

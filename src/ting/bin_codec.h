@@ -47,15 +47,8 @@ inline void put_fp(std::string& out, const dir::Fingerprint& fp) {
 }
 
 inline dir::Fingerprint get_fp(const std::string& s, std::size_t off) {
-  static const char* hexdig = "0123456789abcdef";
-  std::string hex;
-  hex.reserve(2 * dir::Fingerprint::kLen);
-  for (std::size_t i = 0; i < dir::Fingerprint::kLen; ++i) {
-    const auto byte = static_cast<std::uint8_t>(s[off + i]);
-    hex.push_back(hexdig[byte >> 4]);
-    hex.push_back(hexdig[byte & 0xf]);
-  }
-  return dir::Fingerprint::from_hex(hex);
+  return dir::Fingerprint::from_bytes(
+      reinterpret_cast<const std::uint8_t*>(s.data() + off));
 }
 
 }  // namespace ting::meas::binfmt

@@ -1,6 +1,7 @@
 #include "ting/half_circuit_cache.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -109,6 +110,8 @@ HalfCircuitCache HalfCircuitCache::from_bin(const std::string& bin) {
     const dir::Fingerprint host_w = binfmt::get_fp(bin, off);
     const dir::Fingerprint relay = binfmt::get_fp(bin, off + 20);
     const double rtt_ms = std::bit_cast<double>(binfmt::get_u64le(bin, off + 40));
+    TING_CHECK_MSG(std::isfinite(rtt_ms), "half-circuit cache: record "
+                                              << r << " has a non-finite RTT");
     const auto at_ns = static_cast<std::int64_t>(binfmt::get_u64le(bin, off + 48));
     const auto samples = static_cast<std::int32_t>(binfmt::get_u32le(bin, off + 56));
     // Direct insertion: loading moves already-recorded entries around, so

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <numeric>
@@ -404,6 +405,11 @@ RttMatrix RttMatrix::from_csv(const std::string& csv) {
     } catch (const std::out_of_range&) {
     }
     TING_CHECK_MSG(ok, "bad RTT matrix row: " << line);
+    // Negative estimates are legal (R_Cxy - R_Cx/2 - R_Cy/2 can dip below
+    // 0); NaN and infinity are not RTTs.
+    TING_CHECK_MSG(std::isfinite(rtt_ms), "RTT matrix CSV line "
+                                              << n + 1 << ": non-finite RTT: "
+                                              << line);
     m.set(dir::Fingerprint::from_hex(cols[0]),
           dir::Fingerprint::from_hex(cols[1]), rtt_ms,
           TimePoint::from_ns(at_ns), samples);
@@ -455,6 +461,8 @@ RttMatrix RttMatrix::from_bin(const std::string& bin) {
     const dir::Fingerprint a = get_fp(bin, off);
     const dir::Fingerprint b = get_fp(bin, off + 20);
     const double rtt_ms = std::bit_cast<double>(get_u64le(bin, off + 40));
+    TING_CHECK_MSG(std::isfinite(rtt_ms),
+                   "RTT matrix: record " << r << " has a non-finite RTT");
     const auto at_ns = static_cast<std::int64_t>(get_u64le(bin, off + 48));
     const auto samples = static_cast<std::int32_t>(get_u32le(bin, off + 56));
     m.set(a, b, rtt_ms, TimePoint::from_ns(at_ns), samples);

@@ -1,14 +1,21 @@
-// Usage errors of the `ting` command line. Each case runs the built binary
-// in an empty directory and must exit 2 with an `error:` line naming the
-// offending flag or argument, before any work: the directory stays empty,
-// so no --out file (or default-named artifact) was written.
+// The `ting` command line, run as a built binary.
+//
+// Usage errors: each case runs in an empty directory and must exit 2 with an
+// `error:` line naming the offending flag or argument, before any work: the
+// directory stays empty, so no --out file (or default-named artifact) was
+// written.
+//
+// Golden stdout: the read commands on the 50-node matrix, and on a sparse
+// copy of it, must print exactly the bytes committed under tests/golden/.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -123,23 +130,37 @@ struct ScratchDir {
   const std::filesystem::path path;
 };
 
+/// What one run of `ting` printed on the stream `redirect` routes into the
+/// pipe, and its wait status (-1 if it could not start).
+struct Ran {
+  std::string out;
+  int status = -1;
+};
+
+Ran run_ting(const std::filesystem::path& dir,
+             const std::vector<std::string>& args, const char* redirect) {
+  std::string cmd = "cd '" + dir.string() + "' && exec '" TING_CLI "'";
+  for (const std::string& a : args) cmd += " '" + a + "'";
+  cmd += redirect;
+  Ran ran;
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return ran;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;)
+    ran.out.append(buf, n);
+  ran.status = ::pclose(pipe);
+  return ran;
+}
+
 TEST_P(CliUsageError, ExitsTwoNamingItAndWritesNothing) {
   const UsageCase& c = GetParam();
   const ScratchDir scratch(c.name);
   const std::filesystem::path& dir = scratch.path;
 
   // stderr into the pipe, stdout discarded.
-  std::string cmd = "cd '" + dir.string() + "' && exec '" TING_CLI "'";
-  for (const std::string& a : c.args) cmd += " '" + a + "'";
-  cmd += " 2>&1 >/dev/null";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string err;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;)
-    err.append(buf, n);
-  const int status = ::pclose(pipe);
-
+  const Ran ran = run_ting(dir, c.args, " 2>&1 >/dev/null");
+  const std::string& err = ran.out;
+  const int status = ran.status;
   ASSERT_TRUE(WIFEXITED(status)) << err;
   EXPECT_EQ(WEXITSTATUS(status), 2) << err;
   const std::size_t at = err.find("error: ");
@@ -152,6 +173,75 @@ TEST_P(CliUsageError, ExitsTwoNamingItAndWritesNothing) {
 
 INSTANTIATE_TEST_SUITE_P(Ting, CliUsageError, testing::ValuesIn(kCases),
                          [](const testing::TestParamInfo<UsageCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+struct GoldenCase {
+  const char* name;  ///< stdout is tests/golden/<name>.txt
+  bool sparse;       ///< read the sparse copy instead of the full matrix
+  std::vector<std::string> args;  ///< after --matrix <file>
+};
+
+const GoldenCase kGolden[] = {
+    {"full_query_pair", false, {"query", "--pair", "0,5"}},
+    {"full_query_through", false, {"query", "--through", "3"}},
+    {"full_query_band", false, {"query", "--band", "100:200"}},
+    {"full_tiv", false, {"tiv"}},
+    {"full_coords", false, {"coords"}},
+    // Pair (0, 1) is the first data row, which the sparse copy drops.
+    {"sparse_query_pair", true, {"query", "--pair", "0,1"}},
+    {"sparse_query_through", true, {"query", "--through", "3"}},
+    {"sparse_query_band", true, {"query", "--band", "100:200"}},
+    {"sparse_tiv", true, {"tiv"}},
+    {"sparse_coords", true, {"coords"}},
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// The 50-node matrix without data rows 1, 4, 7, …: a third of its pairs
+/// unmeasured, every relay still present. The header line stays.
+void write_sparse_copy(const std::filesystem::path& out) {
+  std::ifstream in(kMatrix);
+  std::ofstream os(out);
+  std::string line;
+  std::getline(in, line);
+  os << line << '\n';
+  for (std::size_t row = 0; std::getline(in, line); ++row)
+    if (row % 3 != 0) os << line << '\n';
+}
+
+class CliGolden : public testing::TestWithParam<GoldenCase> {};
+
+TEST_P(CliGolden, StdoutMatchesTheCommittedBytes) {
+  const GoldenCase& c = GetParam();
+  const ScratchDir scratch(c.name);
+  std::string matrix = kMatrix;
+  if (c.sparse) {
+    matrix = (scratch.path / "sparse.csv").string();
+    write_sparse_copy(matrix);
+  }
+  std::vector<std::string> args{c.args[0], "--matrix", matrix};
+  args.insert(args.end(), c.args.begin() + 1, c.args.end());
+
+  const Ran ran = run_ting(scratch.path, args, " 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(ran.status)) << ran.out;
+  ASSERT_EQ(WEXITSTATUS(ran.status), 0) << ran.out;
+  const std::string want = read_file(std::filesystem::path(TING_SOURCE_DIR) /
+                                     "tests" / "golden" /
+                                     (std::string(c.name) + ".txt"));
+  ASSERT_FALSE(want.empty()) << "missing golden file for " << c.name;
+  EXPECT_EQ(ran.out, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ting, CliGolden, testing::ValuesIn(kGolden),
+                         [](const testing::TestParamInfo<GoldenCase>& info) {
                            return std::string(info.param.name);
                          });
 

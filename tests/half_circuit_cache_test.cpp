@@ -5,6 +5,9 @@
 // when raw sample counts differ across probes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "crypto/x25519.h"
 #include "scenario/testbed.h"
 #include "ting/half_circuit_cache.h"
@@ -136,6 +139,16 @@ TEST(HalfCircuitCacheTest, BinRoundTripsAndRejectsCorruptInput) {
   for (int i = 9; i < 15; ++i) hostile[i] = 0;
   hostile[15] = 0x40;
   EXPECT_THROW(HalfCircuitCache::from_bin(hostile), CheckError);
+  // A NaN or infinite half RTT would turn every estimate built on it into
+  // one the matrix decoders reject.
+  for (const double rtt : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::string non_finite = bin;
+    const auto bits = std::bit_cast<std::uint64_t>(rtt);
+    for (std::size_t i = 0; i < 8; ++i)
+      non_finite[16 + 60 + 40 + i] = static_cast<char>((bits >> (8 * i)) & 0xff);
+    EXPECT_THROW(HalfCircuitCache::from_bin(non_finite), CheckError) << rtt;
+  }
 }
 
 // ---- measurer integration ---------------------------------------------------

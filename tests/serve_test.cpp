@@ -5,6 +5,7 @@
 // contract under concurrency (the TSan leg).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -87,77 +88,6 @@ TEST(SnapshotTest, SparseAndDenseBuildsAgree) {
   }
 }
 
-TEST(SnapshotTest, Float32StorageMatchesFloat64Queries) {
-  World w(20, 14, /*missing_fraction=*/0.3);
-  const MatrixSnapshot wide = MatrixSnapshot::build(w.matrix, 2);
-  const MatrixSnapshot narrow = MatrixSnapshot::build(
-      w.matrix, 2, TimePoint{}, SnapshotStorage::kFloat32);
-  EXPECT_EQ(wide.storage(), SnapshotStorage::kFloat64);
-  EXPECT_EQ(narrow.storage(), SnapshotStorage::kFloat32);
-  ASSERT_EQ(narrow.node_count(), wide.node_count());
-  EXPECT_EQ(narrow.pair_count(), wide.pair_count());
-  EXPECT_DOUBLE_EQ(narrow.coverage(), wide.coverage());
-  const std::size_t n = wide.node_count();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      // Presence (NaN coding) survives the narrowing exactly; values agree
-      // to float32 rounding — ≤6e-8 relative, far below measurement noise.
-      ASSERT_EQ(narrow.has(i, j), wide.has(i, j));
-      if (!wide.has(i, j)) continue;
-      const double a = wide.rtt_raw(i, j), b = narrow.rtt_raw(i, j);
-      EXPECT_NEAR(b, a, std::abs(a) * 1e-6);
-    }
-  // Path sums stay within the same tolerance.
-  for (std::size_t a = 0; a + 2 < n; ++a) {
-    const std::vector<std::size_t> path{a, a + 1, a + 2};
-    const auto pw = wide.path_rtt_ms(path);
-    const auto pn = narrow.path_rtt_ms(path);
-    ASSERT_EQ(pw.has_value(), pn.has_value());
-    if (pw.has_value()) {
-      EXPECT_NEAR(*pn, *pw, std::abs(*pw) * 1e-6);
-    }
-  }
-}
-
-TEST(SnapshotTest, Float32StorageHalvesTheArray) {
-  World w(64, 15);
-  const MatrixSnapshot wide = MatrixSnapshot::build(w.matrix);
-  const MatrixSnapshot narrow = MatrixSnapshot::build(
-      w.matrix, 0, TimePoint{}, SnapshotStorage::kFloat32);
-  // The n×n array dominates the footprint; the fingerprint index is shared
-  // overhead, so the ratio lands between 0.5 and ~0.75.
-  EXPECT_LT(narrow.memory_bytes(), wide.memory_bytes() * 3 / 4);
-  EXPECT_GE(narrow.memory_bytes(), wide.memory_bytes() / 2);
-}
-
-TEST(PathServerTest, Float32PublishServesParityQueries) {
-  World w(16, 17, /*missing_fraction=*/0.2);
-  ServeOptions so;
-  so.float32_snapshot = true;
-  PathServer narrow(so), wide;
-  narrow.publish(w.matrix);
-  wide.publish(w.matrix);
-  ASSERT_TRUE(narrow.ready());
-  EXPECT_EQ(narrow.state()->snapshot.storage(), SnapshotStorage::kFloat32);
-  EXPECT_EQ(wide.state()->snapshot.storage(), SnapshotStorage::kFloat64);
-  for (std::size_t i = 0; i < w.fps.size(); ++i)
-    for (std::size_t j = i + 1; j < w.fps.size(); ++j) {
-      const auto a = wide.rtt(w.fps[i], w.fps[j]);
-      const auto b = narrow.rtt(w.fps[i], w.fps[j]);
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a.has_value()) {
-        EXPECT_NEAR(*b, *a, std::abs(*a) * 1e-6);
-      }
-    }
-  const auto cw = wide.fastest_through(w.fps[5], 4);
-  const auto cn = narrow.fastest_through(w.fps[5], 4);
-  ASSERT_EQ(cw.size(), cn.size());
-  for (std::size_t k = 0; k < cw.size(); ++k) {
-    EXPECT_EQ(cw[k].relays, cn[k].relays);
-    EXPECT_NEAR(cn[k].rtt_ms, cw[k].rtt_ms, cw[k].rtt_ms * 1e-6);
-  }
-}
-
 TEST(SnapshotTest, PathRttHandlesMissingHops) {
   World w(10, 3, /*missing_fraction=*/0.5);
   const MatrixSnapshot snap = MatrixSnapshot::build(w.matrix);
@@ -189,11 +119,10 @@ TEST(SnapshotTest, UnknownRelayAndDiagonal) {
 }
 
 /// A snapshot filled by the store's entry walk holds exactly what probing
-/// every node pair of the store would: the same bits (narrowed in float32),
-/// NaN holes and diagonal, pair count and node list.
-void expect_snapshot_matches_probe(const meas::RttMatrix& m,
-                                   SnapshotStorage storage) {
-  const MatrixSnapshot snap = MatrixSnapshot::build(m, 0, TimePoint{}, storage);
+/// every node pair of the store would: the same bits, NaN holes and
+/// diagonal, pair count and node list.
+void expect_snapshot_matches_probe(const meas::RttMatrix& m) {
+  const MatrixSnapshot snap = MatrixSnapshot::build(m);
   const std::vector<dir::Fingerprint> nodes = m.nodes();
   ASSERT_EQ(snap.nodes(), nodes);
   std::size_t pairs = 0;
@@ -205,11 +134,8 @@ void expect_snapshot_matches_probe(const meas::RttMatrix& m,
         ASSERT_TRUE(std::isnan(got)) << "(" << i << "," << j << ")";
         continue;
       }
-      const double stored = storage == SnapshotStorage::kFloat32
-                                ? static_cast<double>(static_cast<float>(*want))
-                                : *want;
-      ASSERT_EQ(std::memcmp(&got, &stored, sizeof(double)), 0)
-          << "(" << i << "," << j << "): " << got << " vs " << stored;
+      ASSERT_EQ(std::memcmp(&got, &*want, sizeof(double)), 0)
+          << "(" << i << "," << j << "): " << got << " vs " << *want;
       if (i < j) ++pairs;
     }
   EXPECT_EQ(snap.pair_count(), pairs);
@@ -228,10 +154,7 @@ TEST(SnapshotTest, EntryWalkMatchesPairProbe) {
   merged.merge(other.matrix);
   const meas::RttMatrix* const stores[] = {&w.matrix, &erased, &reloaded,
                                            &merged};
-  for (const meas::RttMatrix* m : stores)
-    for (const SnapshotStorage storage :
-         {SnapshotStorage::kFloat64, SnapshotStorage::kFloat32})
-      expect_snapshot_matches_probe(*m, storage);
+  for (const meas::RttMatrix* m : stores) expect_snapshot_matches_probe(*m);
   EXPECT_FALSE(MatrixSnapshot::build(erased).index_of(w.fps[7]).has_value());
   EXPECT_EQ(MatrixSnapshot::build(merged).node_count(), 48u);
 }
@@ -240,7 +163,7 @@ TEST(SnapshotTest, EntryWalkMatchesPairProbe) {
 
 /// Brute-force reference for one pair.
 struct BruteDetour {
-  std::int32_t via = DetourIndex::kNone;
+  std::uint32_t via = DetourIndex::kNone;
   double detour_ms = std::numeric_limits<double>::infinity();
   bool tiv = false;
 };
@@ -253,7 +176,7 @@ BruteDetour brute_detour(const MatrixSnapshot& snap, std::size_t i,
     const double sum = snap.rtt_raw(i, k) + snap.rtt_raw(k, j);
     if (sum < out.detour_ms) {
       out.detour_ms = sum;
-      out.via = static_cast<std::int32_t>(k);
+      out.via = static_cast<std::uint32_t>(k);
     }
   }
   out.tiv = out.via != DetourIndex::kNone && snap.has(i, j) &&
@@ -262,14 +185,20 @@ BruteDetour brute_detour(const MatrixSnapshot& snap, std::size_t i,
 }
 
 /// Every pair of `index` equals the brute-force reference exactly: the same
-/// via, the same detour_ms bits, the same flags, and counters that agree.
+/// via, the same detour_ms bits read back off the snapshot, the same flags
+/// (from either end of the pair), and counters that agree.
 void expect_index_matches_brute(const MatrixSnapshot& snap,
                                 const DetourIndex& index) {
   std::size_t measured = 0, tivs = 0;
   for (std::size_t i = 0; i < snap.node_count(); ++i)
     for (std::size_t j = i + 1; j < snap.node_count(); ++j) {
       const BruteDetour want = brute_detour(snap, i, j);
-      const DetourIndex::Detour& got = index.at(i, j);
+      const DetourIndex::Detour got = index.at(snap, i, j);
+      const DetourIndex::Detour back = index.at(snap, j, i);
+      ASSERT_EQ(back.via, got.via);
+      ASSERT_EQ(std::memcmp(&back.detour_ms, &got.detour_ms, sizeof(double)),
+                0);
+      ASSERT_EQ(back.tiv, got.tiv);
       ASSERT_EQ(got.via, want.via) << "pair (" << i << "," << j << ")";
       ASSERT_EQ(std::memcmp(&got.detour_ms, &want.detour_ms, sizeof(double)),
                 0)
@@ -297,16 +226,6 @@ TEST(DetourIndexTest, FullBuildMatchesBruteForceSparse) {
   const DetourIndex index = DetourIndex::build(snap);
   expect_index_matches_brute(snap, index);
   EXPECT_LT(index.measured_pairs(), 18u * 17 / 2);
-}
-
-TEST(DetourIndexTest, Float32SnapshotYieldsSameDetourStructure) {
-  // The detour index built over a float32 image must find the same via
-  // relays and the same TIV set — rounding at 1e-8 relative cannot flip a
-  // comparison unless two detour sums were equal to within noise anyway.
-  World w(18, 16, /*missing_fraction=*/0.2);
-  const MatrixSnapshot narrow = MatrixSnapshot::build(
-      w.matrix, 0, TimePoint{}, SnapshotStorage::kFloat32);
-  expect_index_matches_brute(narrow, DetourIndex::build(narrow));
 }
 
 TEST(DetourIndexTest, IncrementalUpdateEqualsRebuild) {
@@ -366,40 +285,34 @@ meas::RttMatrix tie_heavy_matrix(std::size_t n, double missing_fraction,
 
 TEST(DetourIndexTest, KernelMatchesBruteForceAcrossShapes) {
   // Sizes around the kernel's 64-wide chunks, 2-wide lanes and 2×4 tiles,
-  // so every remainder path runs; both storages; full build, then update()
-  // after random edits.
+  // so every remainder path runs; full build, then update() after random
+  // edits.
   for (const std::size_t n : {2, 3, 4, 5, 7, 63, 64, 65, 66, 129, 200})
-    for (const double missing : {0.0, 0.3, 0.95})
-      for (const SnapshotStorage storage :
-           {SnapshotStorage::kFloat64, SnapshotStorage::kFloat32}) {
-        SCOPED_TRACE(testing::Message()
-                     << "n=" << n << " missing=" << missing << " float32="
-                     << (storage == SnapshotStorage::kFloat32));
-        Rng rng(n * 1000 + static_cast<std::uint64_t>(missing * 100));
-        meas::RttMatrix m = tie_heavy_matrix(n, missing, rng);
-        const MatrixSnapshot before =
-            MatrixSnapshot::build(m, 0, TimePoint{}, storage);
-        ASSERT_EQ(before.node_count(), n);
-        DetourIndex index = DetourIndex::build(before);
-        expect_index_matches_brute(before, index);
+    for (const double missing : {0.0, 0.3, 0.95}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " missing=" << missing);
+      Rng rng(n * 1000 + static_cast<std::uint64_t>(missing * 100));
+      meas::RttMatrix m = tie_heavy_matrix(n, missing, rng);
+      const MatrixSnapshot before = MatrixSnapshot::build(m);
+      ASSERT_EQ(before.node_count(), n);
+      DetourIndex index = DetourIndex::build(before);
+      expect_index_matches_brute(before, index);
 
-        // Edit a few entries between snapshot relays (set or overwrite), so
-        // the node set stays and update() applies.
-        std::vector<std::size_t> changed;
-        for (std::size_t e = 0; e < 1 + n / 16; ++e) {
-          const std::size_t a = rng.next_below(n);
-          std::size_t b = a;
-          while (b == a) b = rng.next_below(n);
-          m.set(before.node(a), before.node(b), tie_heavy_rtt(rng));
-          changed.push_back(a);
-          changed.push_back(b);
-        }
-        const MatrixSnapshot after =
-            MatrixSnapshot::build(m, 0, TimePoint{}, storage);
-        ASSERT_EQ(after.nodes(), before.nodes());
-        index.update(after, changed);
-        expect_index_matches_brute(after, index);
+      // Edit a few entries between snapshot relays (set or overwrite), so
+      // the node set stays and update() applies.
+      std::vector<std::size_t> changed;
+      for (std::size_t e = 0; e < 1 + n / 16; ++e) {
+        const std::size_t a = rng.next_below(n);
+        std::size_t b = a;
+        while (b == a) b = rng.next_below(n);
+        m.set(before.node(a), before.node(b), tie_heavy_rtt(rng));
+        changed.push_back(a);
+        changed.push_back(b);
       }
+      const MatrixSnapshot after = MatrixSnapshot::build(m);
+      ASSERT_EQ(after.nodes(), before.nodes());
+      index.update(after, changed);
+      expect_index_matches_brute(after, index);
+    }
 }
 
 // ------------------------------------------------------------- path server
@@ -482,8 +395,8 @@ TEST(PathServerTest, IncrementalPublishEqualsFullRebuild) {
   EXPECT_EQ(incremental.publishes(), 2u);
   for (std::size_t i = 0; i < w.fps.size(); ++i)
     for (std::size_t j = i + 1; j < w.fps.size(); ++j) {
-      const auto& di = a->detours.at(i, j);
-      const auto& df = b->detours.at(i, j);
+      const auto di = a->detours.at(a->snapshot, i, j);
+      const auto df = b->detours.at(b->snapshot, i, j);
       ASSERT_EQ(di.via, df.via) << "pair (" << i << "," << j << ")";
       EXPECT_DOUBLE_EQ(di.detour_ms, df.detour_ms);
       EXPECT_EQ(di.tiv, df.tiv);
@@ -509,6 +422,74 @@ TEST(PathServerTest, ServesUnmeasuredPairsByDetour) {
   EXPECT_FALSE(route->tiv);  // no measured direct path to beat
 }
 
+TEST(PathServerTest, TablesStopAtNodeCount) {
+  // A circuit has distinct relays, so a 20-relay snapshot gets tables for
+  // lengths 3 through 20 however large max_length is, and none above.
+  World w(20, 18);
+  ServeOptions so;
+  so.max_length = 100000;
+  so.candidates_per_length = 50;
+  PathServer server(so);
+  server.publish(w.matrix);
+  const auto st = server.state();
+  ASSERT_EQ(st->tables.size(), 18u);
+  for (std::size_t len = 3; len <= 20; ++len) {
+    ASSERT_NE(st->table_for(len), nullptr);
+    EXPECT_EQ(st->table_for(len)->length, len);
+  }
+  EXPECT_EQ(st->table_for(2), nullptr);
+  EXPECT_EQ(st->table_for(21), nullptr);
+  EXPECT_DOUBLE_EQ(server.options_in_band(25, 0, 1e9), 0.0);
+  EXPECT_TRUE(server.circuits_in_band(25, 0, 1e9, 10).empty());
+  EXPECT_GT(server.options_in_band(20, 0, 1e9), 0.0);
+}
+
+TEST(PathServerTest, NeighborRowsSortByRttThenIndex) {
+  // Small-integer RTTs with ±0.0 and missing pairs fill the rows with ties,
+  // which (rtt, index) order breaks by index whatever the sign of a zero.
+  for (const double missing : {0.0, 0.3, 0.9}) {
+    SCOPED_TRACE(testing::Message() << "missing=" << missing);
+    Rng rng(31 + static_cast<std::uint64_t>(missing * 10));
+    PathServer server;
+    server.publish(tie_heavy_matrix(70, missing, rng));
+    const auto st = server.state();
+    const MatrixSnapshot& snap = st->snapshot;
+    const std::size_t n = snap.node_count();
+    ASSERT_EQ(st->neighbors.offsets.size(), n + 1);
+    EXPECT_EQ(st->neighbors.ids.size(), 2 * snap.pair_count());
+    for (std::size_t r = 0; r < n; ++r) {
+      std::vector<std::pair<double, std::uint32_t>> sorted;
+      for (std::size_t x = 0; x < n; ++x)
+        if (x != r && snap.has(r, x))
+          sorted.emplace_back(snap.rtt_raw(r, x), static_cast<std::uint32_t>(x));
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<std::uint32_t> want;
+      for (const auto& [rtt, x] : sorted) want.push_back(x);
+      const auto row = st->neighbors.row(r);
+      ASSERT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), want)
+          << "row " << r;
+    }
+  }
+}
+
+TEST(PathServerTest, StateTakesUnder30BytesPerPair) {
+  // Per unordered pair of a full mesh: 16 B of snapshot (both halves), one
+  // 4-byte via and two 4-byte neighbor entries, plus the fingerprint index
+  // and the row offsets.
+  const std::size_t n = 200, pairs = n * (n - 1) / 2;
+  World w(n, 19);
+  PathServer server;
+  server.publish(w.matrix);
+  const auto st = server.state();
+  EXPECT_EQ(st->detours.memory_bytes(), pairs * sizeof(std::uint32_t));
+  EXPECT_EQ(st->neighbors.ids.capacity(), 2 * pairs);
+  const std::size_t bytes = st->snapshot.memory_bytes() +
+                            st->detours.memory_bytes() +
+                            st->neighbors.memory_bytes();
+  EXPECT_LE(static_cast<double>(bytes) / static_cast<double>(pairs), 30.0);
+  EXPECT_GT(st->memory_bytes(), bytes);  // plus the candidate tables
+}
+
 // ------------------------------------------------- concurrency (TSan leg)
 
 TEST(PathServerTest, ConcurrentReadersAcrossPublishes) {
@@ -532,9 +513,9 @@ TEST(PathServerTest, ConcurrentReadersAcrossPublishes) {
       if (i != j) {
         // Snapshot and index were built together: a detour's legs must
         // exist in the same state's snapshot.
-        const auto& d = st->detours.at(i, j);
+        const auto d = st->detours.at(st->snapshot, i, j);
         if (d.via != DetourIndex::kNone) {
-          const auto k = static_cast<std::size_t>(d.via);
+          const std::size_t k = d.via;
           ASSERT_TRUE(st->snapshot.has(i, k));
           ASSERT_TRUE(st->snapshot.has(k, j));
           ASSERT_DOUBLE_EQ(d.detour_ms, st->snapshot.rtt_raw(i, k) +

@@ -132,6 +132,30 @@ TEST(SparseRttMatrixTest, BinRejectsCorruptInput) {
   for (int i = 0; i < 8; ++i)
     huge.push_back(static_cast<char>(i == 7 ? 0x40 : 0));
   EXPECT_THROW(RttMatrix::from_bin(huge), CheckError);
+  // A record whose RTT is NaN or ±infinity (bytes 40..47 of the record).
+  const auto with_rtt = [&bin](std::size_t record, double rtt) {
+    std::string out = bin;
+    const auto bits = std::bit_cast<std::uint64_t>(rtt);
+    for (std::size_t i = 0; i < 8; ++i)
+      out[16 + record * RttMatrix::kBinRecordSize + 40 + i] =
+          static_cast<char>((bits >> (8 * i)) & 0xff);
+    return out;
+  };
+  ASSERT_GE(m.size(), 2u);
+  for (const double rtt : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(RttMatrix::from_bin(with_rtt(1, rtt)), CheckError) << rtt;
+  }
+  try {
+    RttMatrix::from_bin(with_rtt(1, std::nan("")));
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("record 1"), std::string::npos)
+        << e.what();
+  }
+  // A negative estimate is legal: R_Cxy - R_Cx/2 - R_Cy/2 can dip below 0.
+  EXPECT_EQ(RttMatrix::from_bin(with_rtt(1, -0.5)).size(), m.size());
 }
 
 TEST(SparseRttMatrixTest, MergeIsCommutativeAndAssociative) {

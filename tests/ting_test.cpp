@@ -296,12 +296,30 @@ TEST(RttMatrixTest, CsvRejectsCorruptNumericFields) {
   // Non-numeric sample count.
   EXPECT_THROW(RttMatrix::from_csv(header + a + "," + b + ",12.5,777,many"),
                CheckError);
+  // stod parses these, but they are not RTTs.
+  for (const char* rtt : {"nan", "NaN", "inf", "-inf", "infinity"})
+    EXPECT_THROW(
+        RttMatrix::from_csv(header + a + "," + b + "," + rtt + ",777,200"),
+        CheckError)
+        << rtt;
+  // A negative estimate is legal: R_Cxy - R_Cx/2 - R_Cy/2 can dip below 0.
+  EXPECT_EQ(RttMatrix::from_csv(header + a + "," + b + ",-0.5,777,200")
+                .rtt(fake_fp(1), fake_fp(2)),
+            -0.5);
   // The error message should carry the offending line for debugging.
   try {
     RttMatrix::from_csv(header + a + "," + b + ",oops,777,200");
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("oops"), std::string::npos);
+  }
+  try {
+    RttMatrix::from_csv(header + a + "," + b + ",12.5,777,200\n" + b + "," +
+                        a + ",nan,777,200");
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
   }
 }
 

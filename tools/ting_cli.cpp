@@ -339,11 +339,6 @@ void print_circuit(const serve::PathServer::Circuit& c) {
   std::printf("\n");
 }
 
-const char* storage_name(const serve::MatrixSnapshot& snapshot) {
-  return snapshot.storage() == serve::SnapshotStorage::kFloat32 ? "float32"
-                                                                : "float64";
-}
-
 // ---- commands ---------------------------------------------------------------
 
 int cmd_measure(Args& args) {
@@ -673,7 +668,6 @@ int run_daemon(Args& args, bool serving) {
     serve::ServeOptions so;
     so.candidates_per_length = args.count("candidates");
     so.seed = seed;
-    so.float32_snapshot = args.on("float32");
     server.emplace(so);
     opt.on_checkpoint = [&server, interval = opt.epoch_interval](
                             const meas::RttMatrix& m,
@@ -685,12 +679,11 @@ int run_daemon(Args& args, bool serving) {
                       changed);
       const auto st = server->state();
       std::printf("epoch %zu: published snapshot — %zu relays, %zu pairs "
-                  "(%.1f%% coverage, %s, %.1f MB), %.0f%% TIV, %zu changed "
-                  "relays\n",
+                  "(%.1f%% coverage, state %.1f MB), %.0f%% TIV, %zu "
+                  "changed relays\n",
                   s.epoch, st->snapshot.node_count(),
                   st->snapshot.pair_count(), 100 * st->snapshot.coverage(),
-                  storage_name(st->snapshot),
-                  static_cast<double>(st->snapshot.memory_bytes()) / 1e6,
+                  static_cast<double>(st->memory_bytes()) / 1e6,
                   100 * st->detours.tiv_fraction(), changed.size());
       std::fflush(stdout);
     };
@@ -780,16 +773,15 @@ int cmd_query(Args& args) {
   so.candidates_per_length = args.count("candidates");
   so.max_length = args.count("max-length");
   so.seed = static_cast<std::uint64_t>(args.num("seed"));
-  so.float32_snapshot = args.on("float32");
   const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
   serve::PathServer server(so);
   server.publish(matrix);
   const auto st = server.state();
   const auto& nodes = st->snapshot.nodes();
-  std::printf("serving %zu relays, %zu pairs (%.1f%% coverage, %s image, "
-              "%.1f MB), %.0f%% of measured pairs have a TIV detour\n",
+  std::printf("serving %zu relays, %zu pairs (%.1f%% coverage, float64 "
+              "image, %.1f MB), %.0f%% of measured pairs have a TIV detour\n",
               st->snapshot.node_count(), st->snapshot.pair_count(),
-              100 * st->snapshot.coverage(), storage_name(st->snapshot),
+              100 * st->snapshot.coverage(),
               static_cast<double>(st->snapshot.memory_bytes()) / 1e6,
               100 * st->detours.tiv_fraction());
 
@@ -1107,8 +1099,7 @@ const std::vector<Command> kCommands = {
      nullptr, kDaemonFlags},
     {"serve", cmd_serve, "the daemon plus path-selection serving", nullptr,
      with(kDaemonFlags,
-          {{"candidates", kCount, "500", "sampled circuits per length"},
-           {"float32", kBool, "off", "halve the snapshot image"}})},
+          {{"candidates", kCount, "500", "sampled circuits per length"}})},
     {"query", cmd_query, "path-selection queries off a matrix", nullptr,
      {kMatrix,
       {"pair", kStr, "", "i,j: direct RTT and best detour"},
@@ -1119,8 +1110,7 @@ const std::vector<Command> kCommands = {
       {"want", kCount, "5", "circuits sampled for --band"},
       {"candidates", kCount, "2000", "sampled circuits per length"},
       {"max-length", kCount, "6", "longest circuit indexed"},
-      {"seed", kInt, "1", "sampling seed"},
-      {"float32", kBool, "off", "halve the snapshot image"}}},
+      {"seed", kInt, "1", "sampling seed"}}},
     {"convert", cmd_convert, "matrix format conversion", nullptr,
      {kMatrix,
       {"csv", kStr, "", "write CSV here"},
