@@ -17,12 +17,13 @@ int main() {
   header("Ablation", "Ting direct measurement vs Vivaldi coordinates");
 
   const FiftyNodeDataset ds = fifty_node_dataset();
+  const auto snapshot = serve::MatrixSnapshot::build(ds.matrix);
 
   for (const double fraction : {1.0, 0.3, 0.1}) {
     VivaldiSystem vivaldi;
     Rng rng(2);
-    vivaldi.fit(ds.matrix, ds.nodes, rng, fraction);
-    const auto errs = vivaldi.relative_errors(ds.matrix);
+    vivaldi.fit(snapshot, rng, fraction);
+    const auto errs = vivaldi.relative_errors(snapshot);
     std::printf("\n# vivaldi fit on %.0f%% of pairs: relative error "
                 "median %.1f%%, p90 %.1f%%\n",
                 100 * fraction, 100 * quantile(errs, 0.5),
@@ -34,16 +35,17 @@ int main() {
 
   // The TIV blind spot: every detour the measured matrix exposes is
   // invisible to the embedding.
-  const auto true_tivs = find_all_tivs(ds.matrix);
+  const auto true_tivs = tiv_summary(snapshot).findings;
   VivaldiSystem vivaldi;
   Rng rng(3);
-  vivaldi.fit(ds.matrix, ds.nodes, rng, 1.0);
+  vivaldi.fit(snapshot, rng, 1.0);
   meas::RttMatrix estimated;
-  for (std::size_t i = 0; i < ds.nodes.size(); ++i)
-    for (std::size_t j = i + 1; j < ds.nodes.size(); ++j)
-      estimated.set(ds.nodes[i], ds.nodes[j],
-                    vivaldi.estimate_ms(ds.nodes[i], ds.nodes[j]));
-  const auto embedded_tivs = find_all_tivs(estimated);
+  for (std::size_t i = 0; i < snapshot.node_count(); ++i)
+    for (std::size_t j = i + 1; j < snapshot.node_count(); ++j)
+      estimated.set(snapshot.node(i), snapshot.node(j),
+                    vivaldi.estimate_ms(i, j));
+  const auto embedded_tivs =
+      tiv_summary(serve::MatrixSnapshot::build(estimated)).findings;
   std::size_t significant = 0;
   for (const auto& t : embedded_tivs)
     if (t.savings() > 1e-6) ++significant;

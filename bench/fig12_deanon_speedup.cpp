@@ -16,9 +16,8 @@ int main() {
   header("Figure 12", "probes needed to deanonymize, by attacker strategy");
 
   const FiftyNodeDataset ds = fifty_node_dataset();
-  DeanonWorld world;
-  world.nodes = ds.nodes;
-  world.matrix = &ds.matrix;
+  const auto snapshot = serve::MatrixSnapshot::build(ds.matrix);
+  const DeanonWorld world(snapshot);
 
   const int kRuns = scaled(1000, 100);
   struct Row {
@@ -54,8 +53,7 @@ int main() {
               unaware_median / informed_median);
 
   // ---- weighted variant (§5.1.2 footnote) --------------------------------
-  DeanonWorld weighted_world = world;
-  weighted_world.weights = ds.weights;
+  const DeanonWorld weighted_world(snapshot, ds.weights);
   double base_med = 0, informed_w_med = 0;
   for (const Row& row : {Row{"weight_ordered", Strategy::kWeightOrdered, true},
                          Row{"informed_weighted", Strategy::kInformed, true}}) {

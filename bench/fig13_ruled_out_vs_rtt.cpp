@@ -16,9 +16,8 @@ int main() {
   header("Figure 13", "implicitly ruled-out fraction vs end-to-end RTT");
 
   const FiftyNodeDataset ds = fifty_node_dataset();
-  DeanonWorld world;
-  world.nodes = ds.nodes;
-  world.matrix = &ds.matrix;
+  const auto snapshot = serve::MatrixSnapshot::build(ds.matrix);
+  const DeanonWorld world(snapshot);
 
   const int kRuns = scaled(1000, 150);
   Rng circuit_rng(42), probe_rng(43);

@@ -14,8 +14,10 @@ int main() {
   header("Figure 14", "CDF of RTT savings from the best TIV detour");
 
   const FiftyNodeDataset ds = fifty_node_dataset();
-  const auto tivs = find_all_tivs(ds.matrix);
-  const double frac = fraction_pairs_with_tiv(ds.matrix);
+  const TivSummary summary =
+      tiv_summary(serve::MatrixSnapshot::build(ds.matrix));
+  const auto& tivs = summary.findings;
+  const double frac = summary.fraction;
 
   std::vector<double> savings_pct;
   for (const auto& t : tivs) savings_pct.push_back(100.0 * t.savings());

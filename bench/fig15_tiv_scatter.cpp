@@ -15,7 +15,8 @@ int main() {
   header("Figure 15", "TIV detour RTT vs default-path RTT");
 
   const FiftyNodeDataset ds = fifty_node_dataset();
-  const auto tivs = find_all_tivs(ds.matrix);
+  const auto tivs =
+      tiv_summary(serve::MatrixSnapshot::build(ds.matrix)).findings;
 
   std::printf("# default_rtt_ms\tdetour_rtt_ms\n");
   for (const auto& t : tivs)

@@ -17,6 +17,7 @@ int main() {
   header("Figure 16", "circuits per RTT bin, lengths 3-10, scaled to C(50,l)");
 
   const FiftyNodeDataset ds = fifty_node_dataset();
+  const auto snapshot = serve::MatrixSnapshot::build(ds.matrix);
   const std::size_t kSamplesPerLength =
       static_cast<std::size_t>(scaled(10000, 2000));
   const double kBin = 50.0;
@@ -28,9 +29,8 @@ int main() {
   for (std::size_t len = 3; len <= 10; ++len) std::printf("\tlen%zu", len);
   std::printf("\n");
   for (std::size_t len = 3; len <= 10; ++len)
-    hists.push_back(circuit_rtt_histogram(ds.matrix, ds.nodes, len,
-                                          kSamplesPerLength, kBin, kBins,
-                                          rng));
+    hists.push_back(circuit_rtt_histogram(snapshot, len, kSamplesPerLength,
+                                          kBin, kBins, rng));
   for (std::size_t b = 0; b < kBins; ++b) {
     std::printf("%.2f", (static_cast<double>(b) + 0.5) * kBin / 1000.0);
     for (const auto& h : hists) std::printf("\t%.3g", h.scaled_counts[b]);

@@ -16,6 +16,7 @@ int main() {
   header("Figure 17", "median node-on-circuit probability per RTT bin");
 
   const FiftyNodeDataset ds = fifty_node_dataset();
+  const auto snapshot = serve::MatrixSnapshot::build(ds.matrix);
   const std::size_t kSamplesPerLength =
       static_cast<std::size_t>(scaled(10000, 2000));
   const double kBin = 50.0;
@@ -24,9 +25,8 @@ int main() {
   Rng rng(17);
   std::vector<CircuitRttHistogram> hists;
   for (std::size_t len = 3; len <= 10; ++len)
-    hists.push_back(circuit_rtt_histogram(ds.matrix, ds.nodes, len,
-                                          kSamplesPerLength, kBin, kBins,
-                                          rng));
+    hists.push_back(circuit_rtt_histogram(snapshot, len, kSamplesPerLength,
+                                          kBin, kBins, rng));
 
   std::printf("# bin_rtt_s");
   for (std::size_t len = 3; len <= 10; ++len) std::printf("\tlen%zu", len);

@@ -37,9 +37,10 @@ int main(int argc, char** argv) {
       matrix.set(fps[i], fps[j],
                  model.rtt(hosts[i], hosts[j], simnet::Protocol::kTor).ms());
 
-  DeanonWorld world;
-  world.nodes = fps;
-  world.matrix = &matrix;
+  // The world numbers relays by their index in the snapshot, which sorts
+  // them by fingerprint.
+  const auto snapshot = serve::MatrixSnapshot::build(matrix);
+  const DeanonWorld world(snapshot);
 
   struct Row {
     const char* name;

@@ -36,8 +36,11 @@ int main(int argc, char** argv) {
       matrix.set(fps[i], fps[j],
                  model.rtt(hosts[i], hosts[j], simnet::Protocol::kTor).ms());
 
+  // Relays are numbered by their index in the snapshot (fingerprint order).
+  const auto snapshot = serve::MatrixSnapshot::build(matrix);
+
   // ---- Triangle inequality violations (§5.2.1) ---------------------------
-  const auto tivs = find_all_tivs(matrix);
+  const auto tivs = tiv_summary(snapshot).findings;
   const double pairs = static_cast<double>(n * (n - 1) / 2);
   std::printf("TIVs: %zu of %.0f pairs (%.0f%%) have a faster relay detour "
               "(paper: 69%%)\n",
@@ -55,7 +58,8 @@ int main(int argc, char** argv) {
                           });
     std::printf("  best detour: %.1fms direct -> %.1fms via $%s (%.0f%% faster)\n",
                 best.direct_ms, best.detour_ms,
-                best.detour.short_name().c_str(), 100 * best.savings());
+                snapshot.node(best.via).short_name().c_str(),
+                100 * best.savings());
   }
 
   // ---- Longer circuits need not be slower (§5.2.2) -----------------------
@@ -64,7 +68,7 @@ int main(int argc, char** argv) {
   Rng crng(11);
   for (std::size_t len = 3; len <= 10; ++len) {
     const auto hist =
-        circuit_rtt_histogram(matrix, fps, len, 10000, 50.0, 60, crng);
+        circuit_rtt_histogram(snapshot, len, 10000, 50.0, 60, crng);
     double in_band = 0;
     for (std::size_t b = 4; b < 6; ++b) in_band += hist.scaled_counts[b];
     std::printf("  %2zu hops: %12.0f circuits\n", len, in_band);

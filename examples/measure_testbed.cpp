@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "scenario/testbed.h"
+#include "serve/snapshot.h"
 #include "ting/measurer.h"
 #include "ting/rtt_matrix.h"
 #include "util/stats.h"
@@ -62,6 +63,7 @@ int main(int argc, char** argv) {
   // Demonstrate the cache round trip (§4.6: measure rarely, cache).
   const meas::RttMatrix reloaded = meas::RttMatrix::load_csv(out_path);
   std::printf("reloaded matrix: %zu pairs, mean RTT %.1f ms\n",
-              reloaded.size(), reloaded.mean_rtt());
+              reloaded.size(),
+              serve::MatrixSnapshot::build(reloaded).mean_rtt());
   return 0;
 }

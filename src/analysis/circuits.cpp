@@ -6,32 +6,12 @@
 
 namespace ting::analysis {
 
-std::optional<double> try_circuit_rtt_ms(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    const std::vector<std::size_t>& path) {
-  TING_CHECK(path.size() >= 2);
-  double total = 0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto r = matrix.rtt(nodes.at(path[i]), nodes.at(path[i + 1]));
-    if (!r.has_value()) return std::nullopt;
-    total += *r;
-  }
-  return total;
-}
-
-double circuit_rtt_ms(const meas::RttMatrix& matrix,
-                      const std::vector<dir::Fingerprint>& nodes,
-                      const std::vector<std::size_t>& path) {
-  const auto r = try_circuit_rtt_ms(matrix, nodes, path);
-  TING_CHECK_MSG(r.has_value(), "missing RTT along circuit");
-  return *r;
-}
-
 std::vector<CircuitSample> sample_circuits(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    std::size_t len, std::size_t count, Rng& rng) {
-  TING_CHECK(len >= 2 && len <= nodes.size());
+    const serve::MatrixSnapshot& snapshot, std::size_t len, std::size_t count,
+    Rng& rng) {
+  TING_CHECK(len >= 2);
   std::vector<CircuitSample> out;
+  if (len > snapshot.node_count()) return out;  // no simple circuit exists
   out.reserve(count);
   // Incomplete draws (a hop over an unmeasured pair) are skipped rather
   // than aborted on. The attempt budget bounds the loop on very sparse
@@ -41,8 +21,8 @@ std::vector<CircuitSample> sample_circuits(
   for (std::size_t attempt = 0; attempt < max_attempts && out.size() < count;
        ++attempt) {
     CircuitSample s;
-    s.path = rng.sample_indices(nodes.size(), len);
-    const auto rtt = try_circuit_rtt_ms(matrix, nodes, s.path);
+    s.path = rng.sample_indices(snapshot.node_count(), len);
+    const auto rtt = snapshot.path_rtt_ms(s.path);
     if (!rtt.has_value()) continue;
     s.rtt_ms = *rtt;
     out.push_back(std::move(s));
@@ -50,31 +30,23 @@ std::vector<CircuitSample> sample_circuits(
   return out;
 }
 
-double n_choose_k(std::size_t n, std::size_t k) {
-  if (k > n) return 0;
-  double result = 1;
-  for (std::size_t i = 0; i < k; ++i)
-    result *= static_cast<double>(n - i) / static_cast<double>(i + 1);
-  return result;
-}
-
 CircuitRttHistogram circuit_rtt_histogram(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    std::size_t len, std::size_t sample_count, double bin_ms,
-    std::size_t nbins, Rng& rng) {
+    const serve::MatrixSnapshot& snapshot, std::size_t len,
+    std::size_t sample_count, double bin_ms, std::size_t nbins, Rng& rng) {
   CircuitRttHistogram out;
   out.length = len;
   out.bin_ms = bin_ms;
   out.scaled_counts.assign(nbins, 0.0);
   out.median_node_probability.assign(nbins, 0.0);
 
-  const auto samples = sample_circuits(matrix, nodes, len, sample_count, rng);
+  const auto samples = sample_circuits(snapshot, len, sample_count, rng);
   if (samples.empty()) return out;  // sparse matrix: no complete circuit found
 
   // Raw counts per bin, plus per-bin per-node membership counts.
   std::vector<double> raw(nbins, 0.0);
-  std::vector<std::vector<double>> node_in_bin(
-      nbins, std::vector<double>(nodes.size(), 0.0));
+  const std::size_t n = snapshot.node_count();
+  std::vector<std::vector<double>> node_in_bin(nbins,
+                                               std::vector<double>(n, 0.0));
   for (const auto& s : samples) {
     // A negative RTT (bad matrix data) must not wrap through the size_t
     // cast into a huge bin index.
@@ -90,7 +62,7 @@ CircuitRttHistogram circuit_rtt_histogram(
   // procedure for Fig 16). The divisor is the number of *valid* samples
   // drawn, which is sample_count on a complete matrix but smaller on a
   // sparse one — dividing by the request would bias every bin low.
-  const double scale = n_choose_k(nodes.size(), len) /
+  const double scale = n_choose_k(n, len) /
                        static_cast<double>(samples.size());
   for (std::size_t b = 0; b < nbins; ++b)
     out.scaled_counts[b] = raw[b] * scale;
@@ -102,8 +74,8 @@ CircuitRttHistogram circuit_rtt_histogram(
   for (std::size_t b = 0; b < nbins; ++b) {
     if (raw[b] == 0) continue;
     std::vector<double> probs;
-    probs.reserve(nodes.size());
-    for (std::size_t node = 0; node < nodes.size(); ++node)
+    probs.reserve(n);
+    for (std::size_t node = 0; node < n; ++node)
       probs.push_back(node_in_bin[b][node] /
                       static_cast<double>(samples.size()));
     out.median_node_probability[b] = quantile(std::move(probs), 0.5);

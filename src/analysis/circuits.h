@@ -1,50 +1,35 @@
 // Long-circuit analysis (§5.2.2): sample random circuits of lengths 3–10
-// from an all-pairs RTT dataset, bin their end-to-end RTTs, scale counts to
-// the full combinatorial population C(n, ℓ), and measure the "entropy" of
-// low-latency circuits — the median probability that a given node sits on a
-// circuit in each RTT bin (Figs 16 and 17).
+// from an all-pairs RTT snapshot, bin their end-to-end RTTs, scale counts
+// to the full combinatorial population C(n, ℓ), and measure the "entropy"
+// of low-latency circuits — the median probability that a given node sits
+// on a circuit in each RTT bin (Figs 16 and 17).
+//
+// Every analysis entry point reads a serve::MatrixSnapshot and names relays
+// by their index in it (sorted-fingerprint order).
 #pragma once
 
 #include <vector>
 
-#include "dir/fingerprint.h"
-#include "ting/rtt_matrix.h"
+#include "serve/snapshot.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace ting::analysis {
 
 struct CircuitSample {
-  std::vector<std::size_t> path;  ///< node indices, length ℓ
+  std::vector<std::size_t> path;  ///< snapshot node indices, length ℓ
   double rtt_ms = 0;              ///< sum of inter-relay RTTs along the path
 };
-
-/// Sum of consecutive-hop RTTs for a path of node indices, or nullopt when
-/// any hop's pair is missing from the matrix — the form every sampler uses,
-/// so partially-converged daemon stores are analyzable without aborting.
-std::optional<double> try_circuit_rtt_ms(const meas::RttMatrix& matrix,
-                                         const std::vector<dir::Fingerprint>& nodes,
-                                         const std::vector<std::size_t>& path);
-
-/// Sum of consecutive-hop RTTs for a path of node indices. Aborts
-/// (TING_CHECK) on a missing pair: callers that can see incomplete
-/// matrices should use try_circuit_rtt_ms.
-double circuit_rtt_ms(const meas::RttMatrix& matrix,
-                      const std::vector<dir::Fingerprint>& nodes,
-                      const std::vector<std::size_t>& path);
 
 /// Draw `count` random simple circuits (distinct relays) of length `len`.
 /// Circuits crossing an unmeasured pair are skipped, not aborted on; on a
 /// sparse matrix fewer than `count` samples may come back (the draw budget
-/// is a fixed multiple of `count`). On a complete matrix this returns
-/// exactly `count` samples from the same RNG stream as always.
+/// is a fixed multiple of `count`), and none when the snapshot has fewer
+/// than `len` nodes. On a complete matrix this returns exactly `count`
+/// samples from the same RNG stream as always.
 std::vector<CircuitSample> sample_circuits(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    std::size_t len, std::size_t count, Rng& rng);
-
-/// C(n, l) as a double (overflows are fine at double precision — Fig 16's
-/// y-axis is logarithmic).
-double n_choose_k(std::size_t n, std::size_t k);
+    const serve::MatrixSnapshot& snapshot, std::size_t len, std::size_t count,
+    Rng& rng);
 
 struct CircuitRttHistogram {
   std::size_t length = 0;
@@ -59,8 +44,7 @@ struct CircuitRttHistogram {
 
 /// Build the Fig 16/17 statistics for one circuit length.
 CircuitRttHistogram circuit_rtt_histogram(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    std::size_t len, std::size_t sample_count, double bin_ms,
-    std::size_t nbins, Rng& rng);
+    const serve::MatrixSnapshot& snapshot, std::size_t len,
+    std::size_t sample_count, double bin_ms, std::size_t nbins, Rng& rng);
 
 }  // namespace ting::analysis

@@ -1,6 +1,7 @@
 #include "analysis/coordinates.h"
 
 #include <cmath>
+#include <tuple>
 
 #include "util/assert.h"
 
@@ -14,11 +15,10 @@ double norm(const std::vector<double>& v) {
   return std::sqrt(acc);
 }
 
-std::vector<double> diff(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  std::vector<double> out(a.size());
+/// out = a − b, in place.
+void diff(const std::vector<double>& a, const std::vector<double>& b,
+          std::vector<double>& out) {
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
 }
 
 }  // namespace
@@ -28,36 +28,37 @@ VivaldiSystem::VivaldiSystem(VivaldiConfig config) : config_(config) {
   TING_CHECK(config_.rounds >= 1);
 }
 
-void VivaldiSystem::fit(const meas::RttMatrix& observations,
-                        const std::vector<dir::Fingerprint>& nodes, Rng& rng,
+void VivaldiSystem::fit(const serve::MatrixSnapshot& observations, Rng& rng,
                         double sample_fraction) {
   TING_CHECK(sample_fraction > 0 && sample_fraction <= 1.0);
-  coords_.clear();
-  for (const auto& n : nodes) {
-    NodeState s;
-    s.position.resize(static_cast<std::size_t>(config_.dimensions));
+  const std::size_t n = observations.node_count();
+  const auto dims = static_cast<std::size_t>(config_.dimensions);
+  nodes_.assign(n, NodeState{});
+  for (NodeState& s : nodes_) {
+    s.position.resize(dims);
     for (double& x : s.position) x = rng.normal(0, 1.0);
-    coords_[n] = s;
   }
 
-  // Training set: a random subset of the observed pairs.
-  std::vector<std::tuple<dir::Fingerprint, dir::Fingerprint, double>> obs;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      const auto rtt = observations.rtt(nodes[i], nodes[j]);
-      if (!rtt.has_value()) continue;
+  // Training set: a random subset of the pairs with a usable RTT.
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, double>> obs;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double rtt = observations.rtt_raw(i, j);
+      if (!(rtt > 0)) continue;  // unmeasured (NaN), zero or negative
       if (sample_fraction < 1.0 && !rng.chance(sample_fraction)) continue;
-      obs.emplace_back(nodes[i], nodes[j], *rtt);
+      obs.emplace_back(static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>(j), rtt);
     }
   }
   TING_CHECK_MSG(!obs.empty(), "no observations to fit on");
 
+  std::vector<double> d(dims);
   for (int round = 0; round < config_.rounds; ++round) {
     rng.shuffle(obs);
     for (const auto& [a, b, rtt] : obs) {
-      NodeState& sa = coords_[a];
-      NodeState& sb = coords_[b];
-      std::vector<double> d = diff(sa.position, sb.position);
+      NodeState& sa = nodes_[a];
+      NodeState& sb = nodes_[b];
+      diff(sa.position, sb.position, d);
       double dist = norm(d);
       if (dist < 1e-9) {
         // Coincident points: pick a random separation direction.
@@ -70,13 +71,13 @@ void VivaldiSystem::fit(const meas::RttMatrix& observations,
       sa.error = es * config_.ce * w + sa.error * (1 - config_.ce * w);
       const double delta = config_.cc * w;
       const double force = delta * (rtt - dist);
-      for (std::size_t k = 0; k < d.size(); ++k)
+      for (std::size_t k = 0; k < dims; ++k)
         sa.position[k] += force * (d[k] / dist);
       // Mirror update for b (observation is symmetric).
       const double wb = sb.error / (sa.error + sb.error);
       sb.error = es * config_.ce * wb + sb.error * (1 - config_.ce * wb);
       const double force_b = config_.cc * wb * (rtt - dist);
-      for (std::size_t k = 0; k < d.size(); ++k) {
+      for (std::size_t k = 0; k < dims; ++k) {
         const double unit = -d[k] / dist;
         sb.position[k] += force_b * unit;
       }
@@ -84,25 +85,26 @@ void VivaldiSystem::fit(const meas::RttMatrix& observations,
   }
 }
 
-double VivaldiSystem::estimate_ms(const dir::Fingerprint& a,
-                                  const dir::Fingerprint& b) const {
-  auto ia = coords_.find(a);
-  auto ib = coords_.find(b);
-  TING_CHECK_MSG(ia != coords_.end() && ib != coords_.end(),
-                 "node not fitted");
-  return norm(diff(ia->second.position, ib->second.position));
+double VivaldiSystem::estimate_ms(std::size_t a, std::size_t b) const {
+  TING_CHECK_MSG(a < nodes_.size() && b < nodes_.size(), "node not fitted");
+  const std::vector<double>& pa = nodes_[a].position;
+  const std::vector<double>& pb = nodes_[b].position;
+  double acc = 0;
+  for (std::size_t k = 0; k < pa.size(); ++k)
+    acc += (pa[k] - pb[k]) * (pa[k] - pb[k]);
+  return std::sqrt(acc);
 }
 
 std::vector<double> VivaldiSystem::relative_errors(
-    const meas::RttMatrix& truth) const {
+    const serve::MatrixSnapshot& truth) const {
+  TING_CHECK_MSG(truth.node_count() == nodes_.size(),
+                 "truth does not index the fitted nodes");
   std::vector<double> errs;
-  const auto nodes = truth.nodes();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      if (!coords_.contains(nodes[i]) || !coords_.contains(nodes[j])) continue;
-      const auto rtt = truth.rtt(nodes[i], nodes[j]);
-      if (!rtt.has_value() || *rtt <= 0) continue;
-      errs.push_back(std::abs(estimate_ms(nodes[i], nodes[j]) - *rtt) / *rtt);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
+      const double rtt = truth.rtt_raw(i, j);
+      if (!(rtt > 0)) continue;  // unmeasured (NaN), zero or negative
+      errs.push_back(std::abs(estimate_ms(i, j) - rtt) / rtt);
     }
   }
   return errs;

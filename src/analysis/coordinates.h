@@ -12,11 +12,9 @@
 // demonstrated quantitatively in bench/ablation_coordinates.
 #pragma once
 
-#include <map>
 #include <vector>
 
-#include "dir/fingerprint.h"
-#include "ting/rtt_matrix.h"
+#include "serve/snapshot.h"
 #include "util/rng.h"
 
 namespace ting::analysis {
@@ -32,24 +30,25 @@ class VivaldiSystem {
  public:
   explicit VivaldiSystem(VivaldiConfig config = {});
 
-  /// Fit coordinates from observations. `sample_fraction` in (0, 1] selects
-  /// a random subset of pairs to train on (coordinate systems' selling
-  /// point is needing far fewer than all-pairs measurements).
-  void fit(const meas::RttMatrix& observations,
-           const std::vector<dir::Fingerprint>& nodes, Rng& rng,
+  /// Fit coordinates for every snapshot node from its measured pairs.
+  /// `sample_fraction` in (0, 1] selects a random subset of pairs to train
+  /// on (coordinate systems' selling point is needing far fewer than
+  /// all-pairs measurements). A zero or negative RTT (legal in a Ting
+  /// estimate) is skipped like an unmeasured pair: the update divides by
+  /// the observed RTT.
+  void fit(const serve::MatrixSnapshot& observations, Rng& rng,
            double sample_fraction = 1.0);
 
-  /// Predicted RTT between two fitted nodes (Euclidean distance).
-  double estimate_ms(const dir::Fingerprint& a,
-                     const dir::Fingerprint& b) const;
+  /// Predicted RTT between two fitted nodes (Euclidean distance), by their
+  /// index in the fitted snapshot.
+  double estimate_ms(std::size_t a, std::size_t b) const;
 
-  bool has(const dir::Fingerprint& node) const {
-    return coords_.contains(node);
-  }
   const VivaldiConfig& config() const { return config_; }
 
-  /// Relative error |est − true| / true over all pairs of `truth`.
-  std::vector<double> relative_errors(const meas::RttMatrix& truth) const;
+  /// Relative error |est − true| / true over every pair of `truth` with a
+  /// positive RTT. `truth` indexes the fitted nodes.
+  std::vector<double> relative_errors(
+      const serve::MatrixSnapshot& truth) const;
 
  private:
   struct NodeState {
@@ -57,7 +56,7 @@ class VivaldiSystem {
     double error = 1.0;  ///< confidence weight, shrinks as the fit improves
   };
   VivaldiConfig config_;
-  std::map<dir::Fingerprint, NodeState> coords_;
+  std::vector<NodeState> nodes_;  ///< by snapshot index
 };
 
 }  // namespace ting::analysis

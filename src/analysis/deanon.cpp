@@ -9,15 +9,19 @@
 
 namespace ting::analysis {
 
+DeanonWorld::DeanonWorld(const serve::MatrixSnapshot& snapshot,
+                         std::vector<double> weights)
+    : snapshot(&snapshot),
+      weights(std::move(weights)),
+      mu(snapshot.mean_rtt()) {
+  TING_CHECK(this->weights.empty() ||
+             this->weights.size() == snapshot.node_count());
+}
+
 double DeanonWorld::rtt(std::size_t a, std::size_t b) const {
   const auto r = try_rtt(a, b);
   TING_CHECK_MSG(r.has_value(), "missing RTT for node pair");
   return *r;
-}
-
-std::optional<double> DeanonWorld::try_rtt(std::size_t a, std::size_t b) const {
-  TING_CHECK(matrix != nullptr);
-  return matrix->rtt(nodes.at(a), nodes.at(b));
 }
 
 double DeanonWorld::weight(std::size_t i) const {
@@ -31,7 +35,7 @@ namespace {
 /// an unmeasured leg means (abort vs. redraw).
 CircuitInstance draw_circuit(const DeanonWorld& world, Rng& rng,
                              bool weighted) {
-  const std::size_t n = world.nodes.size();
+  const std::size_t n = world.node_count();
   TING_CHECK(n >= 4);
   CircuitInstance c;
   c.source = rng.next_below(n);  // victims are uniform regardless of weights
@@ -61,6 +65,7 @@ CircuitInstance sample_circuit(const DeanonWorld& world, Rng& rng,
 std::optional<CircuitInstance> try_sample_circuit(const DeanonWorld& world,
                                                   Rng& rng, bool weighted,
                                                   std::size_t max_attempts) {
+  if (world.node_count() < 4) return std::nullopt;
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     CircuitInstance c = draw_circuit(world, rng, weighted);
     const auto se = world.try_rtt(c.source, c.entry);
@@ -84,12 +89,10 @@ struct Episode {
   std::set<std::size_t> positives;          ///< probed, on the circuit
   std::set<std::size_t> negatives;          ///< probed, not on the circuit
   std::set<std::size_t> alive;              ///< still possibly on the circuit
-  /// µ of Algorithm 1, computed once: score() runs per candidate per probe.
-  double mu = 0;
 
   Episode(const DeanonWorld& w, const AttackerView& v, bool constraints)
       : world(w), view(v), use_constraints(constraints) {
-    for (std::size_t i = 0; i < w.nodes.size(); ++i) {
+    for (std::size_t i = 0; i < w.node_count(); ++i) {
       if (i == v.exit) continue;
       candidates.push_back(i);
       alive.insert(i);
@@ -173,7 +176,7 @@ struct Episode {
         const double circuit_rtt = *em + *mx;
         best = std::min(
             best, std::abs(view.e2e_ms -
-                           (circuit_rtt + view.exit_to_dst_ms + mu)));
+                           (circuit_rtt + view.exit_to_dst_ms + world.mu)));
       }
     }
     // Weighted variant (§5.1.1): divide the score by the node's weight. A
@@ -189,10 +192,10 @@ DeanonResult deanonymize_with_probe(const DeanonWorld& world,
                                     const AttackerView& view,
                                     Strategy strategy, Rng& rng,
                                     const ProbeFn& probe) {
+  TING_CHECK(view.exit < world.node_count());
   const bool constraints = strategy == Strategy::kIgnoreTooLarge ||
                            strategy == Strategy::kInformed;
   Episode ep(world, view, constraints);
-  if (strategy == Strategy::kInformed) ep.mu = world.mean_rtt();
 
   DeanonResult result;
   result.candidates = ep.candidates.size();

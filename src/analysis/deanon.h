@@ -29,27 +29,34 @@
 #include <set>
 #include <vector>
 
-#include "dir/fingerprint.h"
-#include "ting/rtt_matrix.h"
+#include "serve/snapshot.h"
 #include "util/rng.h"
 
 namespace ting::analysis {
 
-/// The attacker's world: nodes, the Ting-produced all-pairs matrix, and
-/// optional bandwidth weights (empty = uniform selection).
+/// The attacker's world: the Ting-produced all-pairs matrix as a snapshot,
+/// whose node indices name the relays, and optional bandwidth weights in
+/// the same order (empty = uniform selection). The snapshot must outlive
+/// the world.
 struct DeanonWorld {
-  std::vector<dir::Fingerprint> nodes;
-  const meas::RttMatrix* matrix = nullptr;
-  std::vector<double> weights;
+  explicit DeanonWorld(const serve::MatrixSnapshot& snapshot,
+                       std::vector<double> weights = {});
 
+  const serve::MatrixSnapshot* snapshot;
+  std::vector<double> weights;
+  /// Algorithm 1's µ, summed once per world: snapshot->mean_rtt().
+  double mu;
+
+  std::size_t node_count() const { return snapshot->node_count(); }
   /// RTT between two node indices; aborts (TING_CHECK) when the pair is
   /// missing. Attack logic that can see a partially-converged matrix goes
   /// through try_rtt instead.
   double rtt(std::size_t a, std::size_t b) const;
   /// RTT between two node indices, or nullopt when the pair is unmeasured.
-  std::optional<double> try_rtt(std::size_t a, std::size_t b) const;
+  std::optional<double> try_rtt(std::size_t a, std::size_t b) const {
+    return snapshot->rtt(a, b);
+  }
   double weight(std::size_t i) const;
-  double mean_rtt() const { return matrix->mean_rtt(); }
 };
 
 /// A victim circuit: source → entry → middle → exit → destination(attacker).
@@ -68,8 +75,9 @@ CircuitInstance sample_circuit(const DeanonWorld& world, Rng& rng,
 
 /// Like sample_circuit, but redraws (up to `max_attempts`) until every leg
 /// of the circuit is measured, and returns nullopt instead of aborting when
-/// the matrix is too sparse to yield one. On a complete matrix the first
-/// draw succeeds and the RNG stream matches sample_circuit exactly.
+/// the matrix is too sparse to yield one (fewer than four nodes included).
+/// On a complete matrix the first draw succeeds and the RNG stream matches
+/// sample_circuit exactly.
 std::optional<CircuitInstance> try_sample_circuit(const DeanonWorld& world,
                                                   Rng& rng, bool weighted,
                                                   std::size_t max_attempts = 100);

@@ -9,8 +9,7 @@
 #include <vector>
 
 #include "analysis/circuits.h"
-#include "dir/fingerprint.h"
-#include "ting/rtt_matrix.h"
+#include "serve/snapshot.h"
 #include "util/rng.h"
 
 namespace ting::analysis {
@@ -25,18 +24,17 @@ struct BandQuery {
 
 /// Rejection-sample circuits whose end-to-end RTT lands in the band.
 /// Returns up to `want` distinct circuits (may be fewer if the band is
-/// sparse within the iteration budget).
+/// sparse within the iteration budget, and none when the snapshot has
+/// fewer than `length` nodes).
 std::vector<CircuitSample> find_circuits_in_band(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    const BandQuery& query, Rng& rng);
+    const serve::MatrixSnapshot& snapshot, const BandQuery& query, Rng& rng);
 
 /// Local-search optimizer: start from random circuits of `length` and
 /// improve by single-node swaps until no swap lowers the RTT; keep the best
 /// across `restarts`. Finds circuits far faster than random selection would
 /// (exploiting TIVs where they help). On a matrix too sparse for any
 /// complete circuit the returned sample has an empty path.
-CircuitSample optimize_low_rtt_circuit(const meas::RttMatrix& matrix,
-                                       const std::vector<dir::Fingerprint>& nodes,
+CircuitSample optimize_low_rtt_circuit(const serve::MatrixSnapshot& snapshot,
                                        std::size_t length, Rng& rng,
                                        int restarts = 8);
 
@@ -46,9 +44,8 @@ CircuitSample optimize_low_rtt_circuit(const meas::RttMatrix& matrix,
 /// sparse matrix are skipped); nullopt when no valid sample could be drawn,
 /// so there is no estimate to report.
 std::optional<double> circuit_options_in_band(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    std::size_t length, double rtt_lo_ms, double rtt_hi_ms,
-    std::size_t sample_count, Rng& rng);
+    const serve::MatrixSnapshot& snapshot, std::size_t length,
+    double rtt_lo_ms, double rtt_hi_ms, std::size_t sample_count, Rng& rng);
 
 /// The §5.2.2 defence: among lengths [3, max_length], pick the length whose
 /// anonymity set within the band is largest. Returns nullopt if no length
@@ -58,8 +55,7 @@ struct BandRecommendation {
   double options = 0;  ///< scaled circuit count in the band
 };
 std::optional<BandRecommendation> recommend_length_for_band(
-    const meas::RttMatrix& matrix, const std::vector<dir::Fingerprint>& nodes,
-    double rtt_lo_ms, double rtt_hi_ms, std::size_t max_length,
-    std::size_t sample_count, Rng& rng);
+    const serve::MatrixSnapshot& snapshot, double rtt_lo_ms, double rtt_hi_ms,
+    std::size_t max_length, std::size_t sample_count, Rng& rng);
 
 }  // namespace ting::analysis

@@ -4,51 +4,34 @@
 // of 7.5% and a top-decile saving of 28%+.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "dir/fingerprint.h"
-#include "ting/rtt_matrix.h"
+#include "serve/snapshot.h"
 
 namespace ting::analysis {
 
+/// One pair's best detour, by snapshot node index.
 struct TivFinding {
-  dir::Fingerprint a, b;      ///< the endpoint pair
-  dir::Fingerprint detour;    ///< best (lowest-detour-RTT) relay r
-  double direct_ms = 0;       ///< R(a, b)
-  double detour_ms = 0;       ///< R(a, r) + R(r, b)
+  std::size_t a = 0, b = 0;  ///< the endpoint pair, a < b
+  std::size_t via = 0;       ///< best (lowest-detour-RTT) relay r
+  double direct_ms = 0;      ///< R(a, b)
+  double detour_ms = 0;      ///< R(a, r) + R(r, b)
   /// Fractional saving, (direct − detour) / direct, in (0, 1).
   double savings() const { return (direct_ms - detour_ms) / direct_ms; }
 };
 
-/// The best TIV for (a, b) over all candidate relays in the matrix, or
-/// nullopt if no relay beats the direct path. One O(n) scan — fine for a
-/// single pair; anything iterating pairs should go through tiv_summary
-/// (or serve::DetourIndex directly) instead.
-std::optional<TivFinding> best_tiv(const meas::RttMatrix& matrix,
-                                   const dir::Fingerprint& a,
-                                   const dir::Fingerprint& b);
-
-/// Everything the §5.2.1 analysis wants from one O(n³) pass (via
-/// serve::DetourIndex): the per-pair findings and the aggregate fraction.
-/// Historically find_all_tivs and fraction_pairs_with_tiv each re-ran the
-/// full scan; now both are views of this.
+/// Everything the §5.2.1 analysis wants from one O(n³) serve::DetourIndex
+/// build: the per-pair findings and the aggregate fraction.
 struct TivSummary {
-  /// Best TIV per pair that has one, ordered by (a, b) fingerprint.
+  /// Best TIV per pair that has one, ordered by (a, b).
   std::vector<TivFinding> findings;
   /// Pairs with a measured direct RTT (the denominator — on a sparse
   /// matrix this is less than C(n, 2)).
   std::size_t measured_pairs = 0;
-  /// findings.size() / measured_pairs (0 when nothing is measured).
+  /// findings.size() / measured_pairs (0 when nothing is measured) — the
+  /// paper's 69% statistic.
   double fraction = 0;
 };
-TivSummary tiv_summary(const meas::RttMatrix& matrix);
-
-/// Best TIVs for every pair that has one (tiv_summary's findings).
-std::vector<TivFinding> find_all_tivs(const meas::RttMatrix& matrix);
-
-/// Fraction of measured pairs with at least one TIV (the paper's 69%
-/// statistic; tiv_summary's fraction).
-double fraction_pairs_with_tiv(const meas::RttMatrix& matrix);
+TivSummary tiv_summary(const serve::MatrixSnapshot& snapshot);
 
 }  // namespace ting::analysis

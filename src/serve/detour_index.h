@@ -85,7 +85,7 @@ class DetourIndex {
   std::size_t measured_pairs() const { return measured_pairs_; }
   /// Pairs with a TIV (the paper's 69% numerator).
   std::size_t tiv_pairs() const { return tiv_pairs_; }
-  /// fraction_pairs_with_tiv, from the counters.
+  /// Fraction of measured pairs with a TIV, from the counters.
   double tiv_fraction() const {
     return measured_pairs_ == 0
                ? 0.0

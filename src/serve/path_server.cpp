@@ -5,6 +5,7 @@
 #include <set>
 
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace ting::serve {
 
@@ -16,16 +17,6 @@ constexpr std::size_t kMinLength = 3;
 /// stays below this fraction of the snapshot; above it a full O(n³) rebuild
 /// is cheaper than |changed|·n² patching.
 constexpr double kFullRebuildFraction = 0.5;
-
-/// C(n, k) at double precision (a local copy: serve must not depend on
-/// analysis, which itself builds on this library).
-double choose(std::size_t n, std::size_t k) {
-  if (k > n) return 0;
-  double result = 1;
-  for (std::size_t i = 0; i < k; ++i)
-    result *= static_cast<double>(n - i) / static_cast<double>(i + 1);
-  return result;
-}
 
 NeighborLists build_neighbors(const MatrixSnapshot& snapshot) {
   const std::size_t n = snapshot.node_count();
@@ -264,7 +255,7 @@ double PathServer::options_in_band(std::size_t length, double lo_ms,
       [](double v, const ServedCircuit& c) { return v < c.rtt_ms; });
   const auto in_band = static_cast<double>(std::distance(lo, hi));
   return in_band / static_cast<double>(table->sampled) *
-         choose(st->snapshot.node_count(), length);
+         n_choose_k(st->snapshot.node_count(), length);
 }
 
 }  // namespace ting::serve

@@ -64,6 +64,16 @@ std::optional<double> MatrixSnapshot::path_rtt_ms(
   return total;
 }
 
+double MatrixSnapshot::mean_rtt() const {
+  if (pair_count_ == 0) return std::numeric_limits<double>::quiet_NaN();
+  const std::size_t n = nodes_.size();
+  double total = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      if (has(i, j)) total += rtt_raw(i, j);
+  return total / static_cast<double>(pair_count_);
+}
+
 double MatrixSnapshot::coverage() const {
   const std::size_t n = nodes_.size();
   const std::size_t total = n * (n - 1) / 2;

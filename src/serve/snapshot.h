@@ -89,6 +89,11 @@ class MatrixSnapshot {
 
   /// Unordered pairs with a measured RTT.
   std::size_t pair_count() const { return pair_count_; }
+  /// Mean RTT over the measured pairs (Algorithm 1's µ), NaN when there
+  /// are none. Summed over the upper triangle in row order, which is the
+  /// store's canonical pair order, so it has the bits of a sum over
+  /// RttMatrix::values().
+  double mean_rtt() const;
   /// Measured fraction of the all-pairs set (1.0 for a finished scan).
   double coverage() const;
 

@@ -252,13 +252,6 @@ std::vector<double> RttMatrix::values() const {
   return out;
 }
 
-double RttMatrix::mean_rtt() const {
-  TING_CHECK_MSG(!entries_.empty(), "empty RTT matrix");
-  double total = 0;
-  for (const auto& [k, e] : canonical_order().items) total += e->rtt_ms;
-  return total / static_cast<double>(entries_.size());
-}
-
 std::vector<RttMatrix::PairKey> RttMatrix::expired_keys(
     TimePoint now, Duration max_age) const {
   // Walk wheel buckets oldest-first and stop at the TTL horizon; validate

@@ -101,10 +101,6 @@ class RttMatrix {
   std::vector<dir::Fingerprint> nodes() const;
   /// All recorded RTT values, in canonical pair order.
   std::vector<double> values() const;
-  /// Mean RTT over all pairs — the µ of deanonymization Algorithm 1 —
-  /// summed in canonical order (deterministic). Sorts a copy of the
-  /// entries, so hoist it out of loops.
-  double mean_rtt() const;
 
   /// One stored pair with its age — what the delta planner prioritizes.
   struct PairAge {

@@ -183,6 +183,14 @@ double ks_distance(const Cdf& a, const Cdf& b) {
   return max_gap;
 }
 
+double n_choose_k(std::size_t n, std::size_t k) {
+  if (k > n) return 0;
+  double result = 1;
+  for (std::size_t i = 0; i < k; ++i)
+    result *= static_cast<double>(n - i) / static_cast<double>(i + 1);
+  return result;
+}
+
 Histogram::Histogram(double bin_width, std::size_t nbins)
     : bin_width_(bin_width), counts_(nbins, 0.0) {
   TING_CHECK(bin_width > 0 && nbins > 0);

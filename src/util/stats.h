@@ -106,4 +106,9 @@ std::vector<double> ranks_of(const std::vector<double>& xs);
 /// absolute gap between them over all sample points of both.
 double ks_distance(const Cdf& a, const Cdf& b);
 
+/// C(n, k) as a double, 0 when k > n. Scales circuit samples to the full
+/// C(n, ℓ) population (Fig 16's y-axis is logarithmic, so double precision
+/// is plenty).
+double n_choose_k(std::size_t n, std::size_t k);
+
 }  // namespace ting

@@ -2,13 +2,18 @@
 // partially-converged matrix (a daemon store mid-convergence) instead of
 // aborting, and estimators must scale by what was actually sampled. Also
 // pins the back-compat guarantee: on a complete matrix the try_ variants
-// consume the same RNG stream as the historical code paths.
+// consume the same RNG stream as the historical code paths. The analyses
+// read a snapshot by node index; the references here read the store by
+// fingerprint.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "analysis/circuits.h"
 #include "analysis/deanon.h"
 #include "analysis/path_selection.h"
 #include "analysis/tiv.h"
+#include "serve/detour_index.h"
 #include "util/rng.h"
 
 namespace ting::analysis {
@@ -23,8 +28,10 @@ dir::Fingerprint fp_of(std::uint32_t i) {
 
 /// Random world with a configurable fraction of pairs left unmeasured.
 struct World {
-  std::vector<dir::Fingerprint> fps;
+  std::vector<dir::Fingerprint> fps;  ///< creation order
   meas::RttMatrix matrix;
+  /// What the analyses read: relays with a measured pair, by fingerprint.
+  serve::MatrixSnapshot snapshot;
 
   explicit World(std::size_t n, double missing_fraction,
                  std::uint64_t seed = 21) {
@@ -36,21 +43,64 @@ struct World {
         if (rng.uniform(0.0, 1.0) < missing_fraction) continue;
         matrix.set(fps[i], fps[j], rng.uniform(20.0, 400.0));
       }
+    snapshot = serve::MatrixSnapshot::build(matrix);
+  }
+
+  /// A path of snapshot indices summed hop by hop off the store, by
+  /// fingerprint; nullopt at the first unmeasured hop.
+  std::optional<double> store_path_rtt(
+      const std::vector<std::size_t>& path) const {
+    double total = 0;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      const auto r = matrix.rtt(snapshot.node(path[i]),
+                                snapshot.node(path[i + 1]));
+      if (!r.has_value()) return std::nullopt;
+      total += *r;
+    }
+    return total;
   }
 };
+
+/// The best TIV for nodes[i], nodes[j] by one O(n) scan of the store,
+/// first wins on ties, or nullopt when no relay beats the direct path: the
+/// per-pair reference tiv_summary's index must agree with.
+std::optional<TivFinding> best_tiv(const meas::RttMatrix& matrix,
+                                   const std::vector<dir::Fingerprint>& nodes,
+                                   std::size_t i, std::size_t j) {
+  const auto direct = matrix.rtt(nodes[i], nodes[j]);
+  if (!direct.has_value()) return std::nullopt;
+  std::optional<TivFinding> best;
+  for (std::size_t r = 0; r < nodes.size(); ++r) {
+    if (r == i || r == j) continue;
+    const auto leg1 = matrix.rtt(nodes[i], nodes[r]);
+    const auto leg2 = matrix.rtt(nodes[r], nodes[j]);
+    if (!leg1.has_value() || !leg2.has_value()) continue;
+    const double detour = *leg1 + *leg2;
+    if (detour >= *direct) continue;
+    if (!best.has_value() || detour < best->detour_ms)
+      best = TivFinding{i, j, r, *direct, detour};
+  }
+  return best;
+}
 
 // ---------------------------------------------------------------- circuits
 
 TEST(SparseCircuitsTest, TryCircuitRttReportsMissingHops) {
+  // The snapshot's path sum is the store's, hop by hop, and absent exactly
+  // when a hop is unmeasured.
   World w(10, 0.5);
   std::size_t complete = 0, incomplete = 0;
-  for (std::size_t a = 0; a + 2 < w.fps.size(); ++a) {
+  for (std::size_t a = 0; a + 2 < w.snapshot.node_count(); ++a) {
     const std::vector<std::size_t> path{a, a + 1, a + 2};
-    const auto rtt = try_circuit_rtt_ms(w.matrix, w.fps, path);
-    const bool measured = w.matrix.contains(w.fps[a], w.fps[a + 1]) &&
-                          w.matrix.contains(w.fps[a + 1], w.fps[a + 2]);
-    ASSERT_EQ(rtt.has_value(), measured);
-    measured ? ++complete : ++incomplete;
+    const auto rtt = w.snapshot.path_rtt_ms(path);
+    const auto want = w.store_path_rtt(path);
+    ASSERT_EQ(rtt.has_value(), want.has_value());
+    if (rtt.has_value()) {
+      EXPECT_EQ(*rtt, *want);
+      ++complete;
+    } else {
+      ++incomplete;
+    }
   }
   EXPECT_GT(incomplete, 0u);  // the world is actually sparse
 }
@@ -58,11 +108,11 @@ TEST(SparseCircuitsTest, TryCircuitRttReportsMissingHops) {
 TEST(SparseCircuitsTest, SampleCircuitsSkipsIncompleteDraws) {
   World w(15, 0.4);
   Rng rng(5);
-  const auto samples = sample_circuits(w.matrix, w.fps, 3, 100, rng);
+  const auto samples = sample_circuits(w.snapshot, 3, 100, rng);
   EXPECT_FALSE(samples.empty());
   EXPECT_LE(samples.size(), 100u);
   for (const auto& s : samples) {
-    const auto rtt = try_circuit_rtt_ms(w.matrix, w.fps, s.path);
+    const auto rtt = w.store_path_rtt(s.path);
     ASSERT_TRUE(rtt.has_value());  // only complete circuits come back
     EXPECT_DOUBLE_EQ(*rtt, s.rtt_ms);
   }
@@ -74,17 +124,17 @@ TEST(SparseCircuitsTest, CompleteMatrixKeepsHistoricalStream) {
   // stream, which deterministic figure pipelines depend on.
   World w(12, 0.0);
   Rng a(77), b(77);
-  const auto samples = sample_circuits(w.matrix, w.fps, 4, 50, a);
+  const auto samples = sample_circuits(w.snapshot, 4, 50, a);
   ASSERT_EQ(samples.size(), 50u);
   for (const auto& s : samples)
-    EXPECT_EQ(s.path, b.sample_indices(w.fps.size(), 4));
+    EXPECT_EQ(s.path, b.sample_indices(w.snapshot.node_count(), 4));
 }
 
 TEST(SparseCircuitsTest, HistogramScalesByValidSamples) {
   World w(14, 0.3);
   Rng rng(6);
   const auto hist =
-      circuit_rtt_histogram(w.matrix, w.fps, 3, 500, 50.0, 40, rng);
+      circuit_rtt_histogram(w.snapshot, 3, 500, 50.0, 40, rng);
   double total = 0;
   for (double c : hist.scaled_counts) total += c;
   // Dividing by valid draws keeps the total estimate at C(n, 3) no matter
@@ -96,7 +146,7 @@ TEST(SparseCircuitsTest, HistogramOnUnmeasurableWorldIsEmptyNotFatal) {
   World w(8, 1.0);  // nothing measured at all
   Rng rng(7);
   const auto hist =
-      circuit_rtt_histogram(w.matrix, w.fps, 3, 50, 50.0, 10, rng);
+      circuit_rtt_histogram(w.snapshot, 3, 50, 50.0, 10, rng);
   for (double c : hist.scaled_counts) EXPECT_DOUBLE_EQ(c, 0.0);
 }
 
@@ -110,18 +160,18 @@ TEST(SparsePathSelectionTest, BandSearchSkipsIncompletePaths) {
   q.rtt_lo_ms = 0;
   q.rtt_hi_ms = 1e9;
   q.want = 20;
-  const auto hits = find_circuits_in_band(w.matrix, w.fps, q, rng);
+  const auto hits = find_circuits_in_band(w.snapshot, q, rng);
   EXPECT_FALSE(hits.empty());
   for (const auto& h : hits)
-    EXPECT_TRUE(try_circuit_rtt_ms(w.matrix, w.fps, h.path).has_value());
+    EXPECT_TRUE(w.store_path_rtt(h.path).has_value());
 }
 
 TEST(SparsePathSelectionTest, OptimizerSurvivesSparseMatrix) {
   World w(15, 0.5);
   Rng rng(9);
-  const CircuitSample best = optimize_low_rtt_circuit(w.matrix, w.fps, 3, rng);
+  const CircuitSample best = optimize_low_rtt_circuit(w.snapshot, 3, rng);
   if (best.path.empty()) return;  // legitimately found nothing
-  const auto rtt = try_circuit_rtt_ms(w.matrix, w.fps, best.path);
+  const auto rtt = w.store_path_rtt(best.path);
   ASSERT_TRUE(rtt.has_value());
   EXPECT_DOUBLE_EQ(*rtt, best.rtt_ms);
 }
@@ -129,7 +179,7 @@ TEST(SparsePathSelectionTest, OptimizerSurvivesSparseMatrix) {
 TEST(SparsePathSelectionTest, OptimizerOnEmptyMatrixReturnsEmptyPath) {
   World w(10, 1.0);
   Rng rng(10);
-  const CircuitSample best = optimize_low_rtt_circuit(w.matrix, w.fps, 3, rng);
+  const CircuitSample best = optimize_low_rtt_circuit(w.snapshot, 3, rng);
   EXPECT_TRUE(best.path.empty());
 }
 
@@ -140,7 +190,7 @@ TEST(SparsePathSelectionTest, OptionsInBandDividesByValidSamples) {
   World w(12, 0.5);
   Rng rng(11);
   const auto options =
-      circuit_options_in_band(w.matrix, w.fps, 3, 0, 1e12, 400, rng);
+      circuit_options_in_band(w.snapshot, 3, 0, 1e12, 400, rng);
   ASSERT_TRUE(options.has_value());
   EXPECT_NEAR(*options, n_choose_k(12, 3), 1e-6);
 }
@@ -149,10 +199,9 @@ TEST(SparsePathSelectionTest, OptionsInBandNulloptWhenNothingMeasurable) {
   World w(10, 1.0);
   Rng rng(12);
   EXPECT_FALSE(
-      circuit_options_in_band(w.matrix, w.fps, 3, 0, 1e12, 100, rng)
-          .has_value());
+      circuit_options_in_band(w.snapshot, 3, 0, 1e12, 100, rng).has_value());
   EXPECT_FALSE(
-      recommend_length_for_band(w.matrix, w.fps, 0, 1e12, 5, 100, rng)
+      recommend_length_for_band(w.snapshot, 0, 1e12, 5, 100, rng)
           .has_value());
 }
 
@@ -160,16 +209,17 @@ TEST(SparsePathSelectionTest, OptionsInBandNulloptWhenNothingMeasurable) {
 
 TEST(SparseTivTest, SummaryMatchesPerPairScan) {
   World w(16, 0.35);
-  const auto summary = tiv_summary(w.matrix);
+  const auto summary = tiv_summary(w.snapshot);
   // The single-pass summary must agree with the per-pair reference scan,
   // in the same sorted-fingerprint order the legacy loop iterated.
   const auto nodes = w.matrix.nodes();
+  ASSERT_EQ(nodes, w.snapshot.nodes());
   std::size_t measured = 0;
   std::vector<TivFinding> reference;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
       if (w.matrix.contains(nodes[i], nodes[j])) ++measured;
-      if (auto f = best_tiv(w.matrix, nodes[i], nodes[j]); f.has_value())
+      if (auto f = best_tiv(w.matrix, nodes, i, j); f.has_value())
         reference.push_back(*f);
     }
   EXPECT_EQ(summary.measured_pairs, measured);
@@ -177,7 +227,7 @@ TEST(SparseTivTest, SummaryMatchesPerPairScan) {
   for (std::size_t k = 0; k < reference.size(); ++k) {
     EXPECT_EQ(summary.findings[k].a, reference[k].a);
     EXPECT_EQ(summary.findings[k].b, reference[k].b);
-    EXPECT_EQ(summary.findings[k].detour, reference[k].detour);
+    EXPECT_EQ(summary.findings[k].via, reference[k].via);
     EXPECT_DOUBLE_EQ(summary.findings[k].direct_ms, reference[k].direct_ms);
     EXPECT_DOUBLE_EQ(summary.findings[k].detour_ms, reference[k].detour_ms);
   }
@@ -185,9 +235,11 @@ TEST(SparseTivTest, SummaryMatchesPerPairScan) {
                    measured == 0 ? 0.0
                                  : static_cast<double>(reference.size()) /
                                        static_cast<double>(measured));
-  // And the legacy entry points are views of the same pass.
-  EXPECT_EQ(find_all_tivs(w.matrix).size(), summary.findings.size());
-  EXPECT_DOUBLE_EQ(fraction_pairs_with_tiv(w.matrix), summary.fraction);
+  // And the index's counters, which `ting coords` prints, count the same
+  // findings.
+  const auto detours = serve::DetourIndex::build(w.snapshot);
+  EXPECT_EQ(detours.tiv_pairs(), summary.findings.size());
+  EXPECT_DOUBLE_EQ(detours.tiv_fraction(), summary.fraction);
 }
 
 TEST(SparseTivTest, FractionDenominatorIsMeasuredPairs) {
@@ -198,10 +250,11 @@ TEST(SparseTivTest, FractionDenominatorIsMeasuredPairs) {
   m.set(a, b, 100.0);
   m.set(a, r, 30.0);
   m.set(r, b, 40.0);
-  const auto summary = tiv_summary(m);
+  const auto snap = serve::MatrixSnapshot::build(m);
+  const auto summary = tiv_summary(snap);
   EXPECT_EQ(summary.measured_pairs, 3u);  // (a,b), (a,r), (r,b)
   ASSERT_EQ(summary.findings.size(), 1u);
-  EXPECT_EQ(summary.findings[0].detour, r);
+  EXPECT_EQ(summary.findings[0].via, *snap.index_of(r));
   EXPECT_DOUBLE_EQ(summary.fraction, 1.0 / 3.0);
 }
 
@@ -209,9 +262,7 @@ TEST(SparseTivTest, FractionDenominatorIsMeasuredPairs) {
 
 TEST(SparseDeanonTest, TrySampleCircuitOnlyUsesMeasuredLegs) {
   World w(14, 0.4);
-  DeanonWorld dw;
-  dw.nodes = w.fps;
-  dw.matrix = &w.matrix;
+  const DeanonWorld dw(w.snapshot);
   Rng rng(13);
   for (int i = 0; i < 20; ++i) {
     const auto c = try_sample_circuit(dw, rng, false);
@@ -224,9 +275,7 @@ TEST(SparseDeanonTest, TrySampleCircuitOnlyUsesMeasuredLegs) {
 
 TEST(SparseDeanonTest, TrySampleCircuitMatchesLegacyOnCompleteMatrix) {
   World w(10, 0.0);
-  DeanonWorld dw;
-  dw.nodes = w.fps;
-  dw.matrix = &w.matrix;
+  const DeanonWorld dw(w.snapshot);
   Rng a(14), b(14);
   for (int i = 0; i < 10; ++i) {
     const auto tried = try_sample_circuit(dw, a, false);
@@ -242,18 +291,23 @@ TEST(SparseDeanonTest, TrySampleCircuitMatchesLegacyOnCompleteMatrix) {
 
 TEST(SparseDeanonTest, TrySampleCircuitNulloptOnUnmeasurableWorld) {
   World w(6, 1.0);
-  DeanonWorld dw;
-  dw.nodes = w.fps;
-  dw.matrix = &w.matrix;
+  const DeanonWorld dw(w.snapshot);
   Rng rng(15);
   EXPECT_FALSE(try_sample_circuit(dw, rng, false, 20).has_value());
+  // Every relay present, but no three measured legs in a row: each of the
+  // 20 draws has an unmeasured leg.
+  meas::RttMatrix matching;
+  for (std::uint32_t i = 0; i < 6; i += 2)
+    matching.set(fp_of(i), fp_of(i + 1), 50.0);
+  const auto snap = serve::MatrixSnapshot::build(matching);
+  ASSERT_EQ(snap.node_count(), 6u);
+  EXPECT_FALSE(try_sample_circuit(DeanonWorld(snap), rng, false, 20)
+                   .has_value());
 }
 
 TEST(SparseDeanonTest, AllStrategiesRunToCompletionOnSparseMatrix) {
   World w(14, 0.35);
-  DeanonWorld dw;
-  dw.nodes = w.fps;
-  dw.matrix = &w.matrix;
+  const DeanonWorld dw(w.snapshot);
   for (const Strategy strategy :
        {Strategy::kRttUnaware, Strategy::kIgnoreTooLarge,
         Strategy::kInformed}) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "analysis/circuits.h"
 #include "analysis/coverage.h"
@@ -27,9 +28,12 @@ dir::Fingerprint fp_of(std::uint32_t i) {
 /// A synthetic all-pairs matrix from the simulator's latency model: hosts
 /// placed like Tor relays (US/EU-heavy, global tail — the Fig 11 RTT
 /// spread), with per-pair path inflation, i.e. what Ting would measure.
+/// The analyses read its snapshot, which numbers the relays in fingerprint
+/// order, not in `fps` (creation) order.
 struct SyntheticWorld {
   std::vector<dir::Fingerprint> fps;
   meas::RttMatrix matrix;
+  serve::MatrixSnapshot snapshot;
 
   explicit SyntheticWorld(std::size_t n, std::uint64_t seed = 9) {
     simnet::LatencyConfig cfg;
@@ -47,6 +51,15 @@ struct SyntheticWorld {
       for (std::size_t j = i + 1; j < n; ++j)
         matrix.set(fps[i], fps[j],
                    model.rtt(hosts[i], hosts[j], simnet::Protocol::kTor).ms());
+    snapshot = serve::MatrixSnapshot::build(matrix);
+  }
+
+  /// Per-relay values given in creation order, moved to snapshot order.
+  std::vector<double> by_index(const std::vector<double>& per_fp) const {
+    std::vector<double> out(per_fp.size());
+    for (std::size_t i = 0; i < per_fp.size(); ++i)
+      out.at(*snapshot.index_of(fps[i])) = per_fp[i];
+    return out;
   }
 };
 
@@ -62,10 +75,7 @@ struct StrategyStats {
 StrategyStats run_strategy(const SyntheticWorld& world, Strategy strategy,
                            int runs, bool weighted = false,
                            std::vector<double> weights = {}) {
-  DeanonWorld dw;
-  dw.nodes = world.fps;
-  dw.matrix = &world.matrix;
-  dw.weights = std::move(weights);
+  const DeanonWorld dw(world.snapshot, std::move(weights));
   Rng circuit_rng(42);  // same circuits across strategies
   Rng probe_rng(43);
   StrategyStats out{0, {}, {}, {}};
@@ -118,9 +128,7 @@ TEST(DeanonTest, RuledOutFractionAntiCorrelatesWithE2eRtt) {
 
 TEST(DeanonTest, InformedNeverProbesRuledOutNodes) {
   SyntheticWorld world(30);
-  DeanonWorld dw;
-  dw.nodes = world.fps;
-  dw.matrix = &world.matrix;
+  const DeanonWorld dw(world.snapshot);
   Rng rng(7);
   for (int i = 0; i < 30; ++i) {
     const CircuitInstance c = sample_circuit(dw, rng, false);
@@ -137,6 +145,8 @@ TEST(DeanonTest, WeightedInformedBeatsWeightOrderedBaseline) {
   for (std::size_t i = 0; i < 50; ++i)
     weights.push_back(20.0 + wrng.lognormal(5.0, 1.2));
   const int kRuns = 120;
+  // Each relay keeps its weight under the snapshot's numbering.
+  weights = world.by_index(weights);
   const StrategyStats baseline = run_strategy(
       world, Strategy::kWeightOrdered, kRuns, /*weighted=*/true, weights);
   const StrategyStats informed = run_strategy(
@@ -150,9 +160,7 @@ TEST(DeanonTest, WeightedInformedBeatsWeightOrderedBaseline) {
 
 TEST(DeanonTest, SampleCircuitRespectsDistinctness) {
   SyntheticWorld world(10);
-  DeanonWorld dw;
-  dw.nodes = world.fps;
-  dw.matrix = &world.matrix;
+  const DeanonWorld dw(world.snapshot);
   Rng rng(3);
   for (int i = 0; i < 100; ++i) {
     const CircuitInstance c = sample_circuit(dw, rng, false);
@@ -170,11 +178,15 @@ TEST(TivTest, DetectsHandCraftedViolation) {
   m.set(a, b, 100.0);
   m.set(a, r, 30.0);
   m.set(r, b, 40.0);
-  const auto tiv = best_tiv(m, a, b);
-  ASSERT_TRUE(tiv.has_value());
-  EXPECT_EQ(tiv->detour, r);
-  EXPECT_DOUBLE_EQ(tiv->detour_ms, 70.0);
-  EXPECT_NEAR(tiv->savings(), 0.3, 1e-12);
+  const auto snap = serve::MatrixSnapshot::build(m);
+  const auto summary = tiv_summary(snap);
+  ASSERT_EQ(summary.findings.size(), 1u);
+  const TivFinding& tiv = summary.findings[0];
+  EXPECT_EQ((std::set<std::size_t>{tiv.a, tiv.b}),
+            (std::set<std::size_t>{*snap.index_of(a), *snap.index_of(b)}));
+  EXPECT_EQ(tiv.via, *snap.index_of(r));
+  EXPECT_DOUBLE_EQ(tiv.detour_ms, 70.0);
+  EXPECT_NEAR(tiv.savings(), 0.3, 1e-12);
 }
 
 TEST(TivTest, NoViolationInMetricSpace) {
@@ -197,16 +209,18 @@ TEST(TivTest, NoViolationInMetricSpace) {
     for (std::size_t j = i + 1; j < fps.size(); ++j)
       m.set(fps[i], fps[j],
             model.rtt(hosts[i], hosts[j], simnet::Protocol::kTcp).ms());
-  EXPECT_DOUBLE_EQ(fraction_pairs_with_tiv(m), 0.0);
+  EXPECT_DOUBLE_EQ(tiv_summary(serve::MatrixSnapshot::build(m)).fraction,
+                   0.0);
 }
 
 TEST(TivTest, InflatedPathsProduceManyViolations) {
   SyntheticWorld world(30);
-  const double frac = fraction_pairs_with_tiv(world.matrix);
+  const TivSummary summary = tiv_summary(world.snapshot);
+  const double frac = summary.fraction;
   // The paper finds 69% of pairs TIV-capable; the synthetic world with
   // independent inflation should be in the same regime.
   EXPECT_GT(frac, 0.3);
-  const auto tivs = find_all_tivs(world.matrix);
+  const auto& tivs = summary.findings;
   EXPECT_NEAR(static_cast<double>(tivs.size()) / (30.0 * 29 / 2), frac, 1e-9);
   for (const auto& t : tivs) {
     EXPECT_LT(t.detour_ms, t.direct_ms);
@@ -217,14 +231,18 @@ TEST(TivTest, InflatedPathsProduceManyViolations) {
 
 TEST(TivTest, BestDetourIsActuallyBest) {
   SyntheticWorld world(20);
-  const auto nodes = world.matrix.nodes();
-  const auto tiv = best_tiv(world.matrix, nodes[0], nodes[1]);
-  if (!tiv.has_value()) GTEST_SKIP() << "pair has no TIV under this seed";
+  const auto& nodes = world.snapshot.nodes();
+  const auto summary = tiv_summary(world.snapshot);
+  // Findings are ordered by (a, b), so pair (0, 1)'s comes first if any.
+  if (summary.findings.empty() || summary.findings[0].a != 0 ||
+      summary.findings[0].b != 1)
+    GTEST_SKIP() << "pair has no TIV under this seed";
+  const TivFinding& tiv = summary.findings[0];
   for (const auto& r : nodes) {
     if (r == nodes[0] || r == nodes[1]) continue;
     const double detour = *world.matrix.rtt(nodes[0], r) +
                           *world.matrix.rtt(r, nodes[1]);
-    EXPECT_GE(detour, tiv->detour_ms - 1e-12);
+    EXPECT_GE(detour, tiv.detour_ms - 1e-12);
   }
 }
 
@@ -236,10 +254,11 @@ TEST(CircuitsTest, RttSumsHops) {
   m.set(a, b, 10.0);
   m.set(b, c, 20.0);
   m.set(a, c, 100.0);
-  EXPECT_DOUBLE_EQ(
-      circuit_rtt_ms(m, {a, b, c}, {0, 1, 2}), 30.0);
-  EXPECT_DOUBLE_EQ(
-      circuit_rtt_ms(m, {a, b, c}, {0, 2, 1}), 120.0);
+  const auto snap = serve::MatrixSnapshot::build(m);
+  const std::size_t ia = *snap.index_of(a), ib = *snap.index_of(b),
+                    ic = *snap.index_of(c);
+  EXPECT_DOUBLE_EQ(*snap.path_rtt_ms({ia, ib, ic}), 30.0);
+  EXPECT_DOUBLE_EQ(*snap.path_rtt_ms({ia, ic, ib}), 120.0);
 }
 
 TEST(CircuitsTest, NChooseK) {
@@ -253,7 +272,7 @@ TEST(CircuitsTest, SamplesAreSimplePaths) {
   SyntheticWorld world(20);
   Rng rng(11);
   const auto samples =
-      sample_circuits(world.matrix, world.fps, 6, 200, rng);
+      sample_circuits(world.snapshot, 6, 200, rng);
   EXPECT_EQ(samples.size(), 200u);
   for (const auto& s : samples) {
     EXPECT_EQ(s.path.size(), 6u);
@@ -269,7 +288,7 @@ TEST(CircuitsTest, LongerCircuitsHaveHigherMeanRtt) {
   double prev_mean = 0;
   for (std::size_t len : {3u, 5u, 8u, 10u}) {
     const auto samples =
-        sample_circuits(world.matrix, world.fps, len, 400, rng);
+        sample_circuits(world.snapshot, len, 400, rng);
     std::vector<double> rtts;
     for (const auto& s : samples) rtts.push_back(s.rtt_ms);
     const double mean = mean_of(rtts);
@@ -282,7 +301,7 @@ TEST(CircuitsTest, HistogramScalesToPopulation) {
   SyntheticWorld world(25);
   Rng rng(17);
   const auto hist =
-      circuit_rtt_histogram(world.matrix, world.fps, 4, 1000, 50.0, 60, rng);
+      circuit_rtt_histogram(world.snapshot, 4, 1000, 50.0, 60, rng);
   double total = 0;
   for (double c : hist.scaled_counts) total += c;
   EXPECT_NEAR(total, n_choose_k(25, 4), 1.0);
@@ -302,9 +321,9 @@ TEST(CircuitsTest, MoreOptionsAtModerateRttForLongerCircuits) {
   SyntheticWorld world(50);
   Rng rng(19);
   const auto h3 =
-      circuit_rtt_histogram(world.matrix, world.fps, 3, 5000, 50.0, 60, rng);
+      circuit_rtt_histogram(world.snapshot, 3, 5000, 50.0, 60, rng);
   const auto h5 =
-      circuit_rtt_histogram(world.matrix, world.fps, 5, 5000, 50.0, 60, rng);
+      circuit_rtt_histogram(world.snapshot, 5, 5000, 50.0, 60, rng);
   // Find a bin (200-400ms) where 3-hop has appreciable mass.
   double c3 = 0, c5 = 0;
   for (std::size_t b = 4; b < 8; ++b) {

@@ -129,19 +129,22 @@ TEST(CongestionProbeTest, EndToEndDeanonymizationWithRealProbes) {
 
   // The attacker's node universe: a 12-relay subset containing the circuit.
   std::vector<std::size_t> universe{0, 1, 2, 3, 5, 7, 8, 11, 14, 17, 20, 23};
-  DeanonWorld dw;
   meas::RttMatrix matrix;
-  for (std::size_t i : universe) dw.nodes.push_back(w.tb.fp(i));
-  for (std::size_t a = 0; a < dw.nodes.size(); ++a)
-    for (std::size_t b = a + 1; b < dw.nodes.size(); ++b)
-      matrix.set(dw.nodes[a], dw.nodes[b],
-                 w.tb.true_rtt_ms(dw.nodes[a], dw.nodes[b]));
-  dw.matrix = &matrix;
+  for (std::size_t a = 0; a < universe.size(); ++a)
+    for (std::size_t b = a + 1; b < universe.size(); ++b)
+      matrix.set(w.tb.fp(universe[a]), w.tb.fp(universe[b]),
+                 w.tb.true_rtt_ms(w.tb.fp(universe[a]), w.tb.fp(universe[b])));
+  // The attack names relays by snapshot index (fingerprint order).
+  const auto snapshot = serve::MatrixSnapshot::build(matrix);
+  const DeanonWorld dw(snapshot);
+  const auto index_of = [&](std::size_t relay) {
+    return *snapshot.index_of(w.tb.fp(relay));
+  };
 
-  // What the attacker knows: the exit (relay 8, index 6 in the universe),
-  // its RTT to the exit, and the observed end-to-end RTT.
+  // What the attacker knows: the exit (relay 8), its RTT to the exit, and
+  // the observed end-to-end RTT.
   AttackerView view;
-  view.exit = 6;
+  view.exit = index_of(8);
   view.exit_to_dst_ms =
       w.tb.net()
           .latency()
@@ -170,15 +173,16 @@ TEST(CongestionProbeTest, EndToEndDeanonymizationWithRealProbes) {
       dw, view, Strategy::kInformed, rng, [&](std::size_t node) {
         ++real_probes;
         const CongestionVerdict v =
-            congestion_probe(w.tb.ting(), w.victim_stream, dw.nodes[node],
-                             pcfg);
+            congestion_probe(w.tb.ting(), w.victim_stream,
+                             snapshot.node(node), pcfg);
         EXPECT_TRUE(v.ok) << v.error;
         return v.on_path;
       });
 
   ASSERT_TRUE(result.success);
-  // The universe indices of the true entry (relay 2) and middle (relay 5).
-  EXPECT_EQ(result.identified, (std::set<std::size_t>{2, 4}));
+  // The true entry (relay 2) and middle (relay 5).
+  EXPECT_EQ(result.identified,
+            (std::set<std::size_t>{index_of(2), index_of(5)}));
   EXPECT_EQ(result.probes, real_probes);
   EXPECT_LT(result.fraction_probed, 1.0);
 }

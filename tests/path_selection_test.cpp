@@ -14,6 +14,7 @@ namespace {
 struct World {
   std::vector<dir::Fingerprint> fps;
   meas::RttMatrix matrix;
+  serve::MatrixSnapshot snapshot;  ///< what the analyses read
 
   explicit World(std::size_t n, std::uint64_t seed = 21) {
     simnet::LatencyConfig cfg;
@@ -34,6 +35,7 @@ struct World {
       for (std::size_t j = i + 1; j < n; ++j)
         matrix.set(fps[i], fps[j],
                    model.rtt(hosts[i], hosts[j], simnet::Protocol::kTor).ms());
+    snapshot = serve::MatrixSnapshot::build(matrix);
   }
 };
 
@@ -45,7 +47,7 @@ TEST(BandSamplingTest, HitsRespectBandAndAreDistinct) {
   q.rtt_lo_ms = 200;
   q.rtt_hi_ms = 300;
   q.want = 15;
-  const auto hits = find_circuits_in_band(w.matrix, w.fps, q, rng);
+  const auto hits = find_circuits_in_band(w.snapshot, q, rng);
   EXPECT_GT(hits.size(), 0u);
   std::set<std::vector<std::size_t>> uniq;
   for (const auto& h : hits) {
@@ -64,16 +66,16 @@ TEST(BandSamplingTest, ImpossibleBandReturnsEmpty) {
   q.rtt_lo_ms = 0;
   q.rtt_hi_ms = 0.000001;  // nothing is this fast
   q.max_iterations = 2000;
-  EXPECT_TRUE(find_circuits_in_band(w.matrix, w.fps, q, rng).empty());
+  EXPECT_TRUE(find_circuits_in_band(w.snapshot, q, rng).empty());
 }
 
 TEST(OptimizerTest, BeatsRandomSampling) {
   World w(40);
   Rng rng(5);
-  const CircuitSample best = optimize_low_rtt_circuit(w.matrix, w.fps, 4, rng);
+  const CircuitSample best = optimize_low_rtt_circuit(w.snapshot, 4, rng);
   // Compare against the best of 2000 random circuits.
   Rng rng2(6);
-  const auto random_samples = sample_circuits(w.matrix, w.fps, 4, 2000, rng2);
+  const auto random_samples = sample_circuits(w.snapshot, 4, 2000, rng2);
   double random_best = 1e18;
   for (const auto& s : random_samples)
     random_best = std::min(random_best, s.rtt_ms);
@@ -84,16 +86,15 @@ TEST(OptimizerTest, ResultIsLocalOptimum) {
   World w(25);
   Rng rng(7);
   const CircuitSample best =
-      optimize_low_rtt_circuit(w.matrix, w.fps, 3, rng, /*restarts=*/4);
+      optimize_low_rtt_circuit(w.snapshot, 3, rng, /*restarts=*/4);
   // No single-node replacement improves it.
   const std::set<std::size_t> used(best.path.begin(), best.path.end());
   for (std::size_t pos = 0; pos < best.path.size(); ++pos) {
-    for (std::size_t cand = 0; cand < w.fps.size(); ++cand) {
+    for (std::size_t cand = 0; cand < w.snapshot.node_count(); ++cand) {
       if (used.contains(cand)) continue;
       std::vector<std::size_t> trial = best.path;
       trial[pos] = cand;
-      EXPECT_GE(circuit_rtt_ms(w.matrix, w.fps, trial),
-                best.rtt_ms - 1e-9);
+      EXPECT_GE(w.snapshot.path_rtt_ms(trial).value(), best.rtt_ms - 1e-9);
     }
   }
 }
@@ -104,9 +105,9 @@ TEST(OptimizerTest, LongOptimizedCircuitCanBeatShortRandomOnes) {
   World w(50);
   Rng rng(8);
   const CircuitSample five_hop =
-      optimize_low_rtt_circuit(w.matrix, w.fps, 5, rng, 6);
+      optimize_low_rtt_circuit(w.snapshot, 5, rng, 6);
   Rng rng2(9);
-  const auto random3 = sample_circuits(w.matrix, w.fps, 3, 200, rng2);
+  const auto random3 = sample_circuits(w.snapshot, 3, 200, rng2);
   std::vector<double> rtts;
   for (const auto& s : random3) rtts.push_back(s.rtt_ms);
   EXPECT_LT(five_hop.rtt_ms, quantile(rtts, 0.5))
@@ -117,9 +118,9 @@ TEST(AnonymitySetTest, OptionsScaleWithLengthInModerateBand) {
   World w(50);
   Rng rng(10);
   const auto c3 =
-      circuit_options_in_band(w.matrix, w.fps, 3, 200, 300, 4000, rng);
+      circuit_options_in_band(w.snapshot, 3, 200, 300, 4000, rng);
   const auto c5 =
-      circuit_options_in_band(w.matrix, w.fps, 5, 200, 300, 4000, rng);
+      circuit_options_in_band(w.snapshot, 5, 200, 300, 4000, rng);
   ASSERT_TRUE(c3.has_value());
   ASSERT_TRUE(c5.has_value());
   EXPECT_GT(*c5, *c3 * 5);  // Fig 16's orders-of-magnitude growth
@@ -129,7 +130,7 @@ TEST(AnonymitySetTest, RecommendationPicksRicherLength) {
   World w(50);
   Rng rng(11);
   const auto rec =
-      recommend_length_for_band(w.matrix, w.fps, 200, 300, 6, 4000, rng);
+      recommend_length_for_band(w.snapshot, 200, 300, 6, 4000, rng);
   ASSERT_TRUE(rec.has_value());
   EXPECT_GT(rec->length, 3u);  // longer lengths dominate this band
   EXPECT_GT(rec->options, 0.0);
@@ -138,8 +139,8 @@ TEST(AnonymitySetTest, RecommendationPicksRicherLength) {
 TEST(AnonymitySetTest, EmptyBandYieldsNullopt) {
   World w(15);
   Rng rng(12);
-  const auto rec = recommend_length_for_band(w.matrix, w.fps, 0.0, 0.0001, 5,
-                                             500, rng);
+  const auto rec =
+      recommend_length_for_band(w.snapshot, 0.0, 0.0001, 5, 500, rng);
   EXPECT_FALSE(rec.has_value());
 }
 

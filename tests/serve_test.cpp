@@ -159,6 +159,39 @@ TEST(SnapshotTest, EntryWalkMatchesPairProbe) {
   EXPECT_EQ(MatrixSnapshot::build(merged).node_count(), 48u);
 }
 
+TEST(SnapshotTest, MeanRttIsTheCanonicalOrderSum) {
+  // Algorithm 1's µ sums the upper triangle in row order, which must be
+  // the store's canonical pair order, bit for bit, however the store was
+  // filled: here in shuffled order and orientation, so relay ids are not
+  // in fingerprint order.
+  World w(30, 9, /*missing_fraction=*/0.4);
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < w.fps.size(); ++i)
+    for (std::size_t j = i + 1; j < w.fps.size(); ++j)
+      if (w.matrix.contains(w.fps[i], w.fps[j])) pairs.emplace_back(i, j);
+  Rng rng(5);
+  rng.shuffle(pairs);
+  meas::RttMatrix shuffled;
+  for (auto [i, j] : pairs) {
+    const double rtt = *w.matrix.rtt(w.fps[i], w.fps[j]);
+    if (rng.chance(0.5)) std::swap(i, j);
+    shuffled.set(w.fps[i], w.fps[j], rtt);
+  }
+  double total = 0;
+  for (const double v : shuffled.values()) total += v;
+  const double want = total / static_cast<double>(shuffled.size());
+  const double got = MatrixSnapshot::build(shuffled).mean_rtt();
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+      << got << " vs " << want;
+
+  meas::RttMatrix m;
+  m.set(fp_of(1), fp_of(2), 10.0);
+  m.set(fp_of(2), fp_of(1), 20.0);  // overwrite, symmetric key
+  m.set(fp_of(1), fp_of(3), 40.0);
+  EXPECT_DOUBLE_EQ(MatrixSnapshot::build(m).mean_rtt(), 30.0);
+  EXPECT_TRUE(std::isnan(MatrixSnapshot::build(meas::RttMatrix{}).mean_rtt()));
+}
+
 // ------------------------------------------------------------ detour index
 
 /// Brute-force reference for one pair.

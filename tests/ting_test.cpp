@@ -231,7 +231,7 @@ TEST(RttMatrixTest, OverwriteAndStats) {
   m.set(fake_fp(2), fake_fp(1), 20.0);  // overwrite, symmetric key
   m.set(fake_fp(1), fake_fp(3), 40.0);
   EXPECT_EQ(m.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.mean_rtt(), 30.0);
+  EXPECT_DOUBLE_EQ(*m.rtt(fake_fp(1), fake_fp(2)), 20.0);
   EXPECT_EQ(m.nodes().size(), 3u);
   EXPECT_EQ(m.values().size(), 2u);
 }

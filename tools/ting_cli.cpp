@@ -847,10 +847,16 @@ int cmd_convert(Args& args) {
   return 0;
 }
 
+/// The matrix at --matrix as the snapshot the read commands analyse.
+serve::MatrixSnapshot load_snapshot(const Args& args) {
+  return serve::MatrixSnapshot::build(
+      meas::RttMatrix::load(args.str("matrix")));
+}
+
 int cmd_tiv(Args& args) {
-  const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
+  const serve::MatrixSnapshot snapshot = load_snapshot(args);
   // One O(n³) detour-index pass yields the findings and the fraction.
-  const auto summary = analysis::tiv_summary(matrix);
+  const auto summary = analysis::tiv_summary(snapshot);
   const auto& tivs = summary.findings;
   std::printf("%zu pairs, %.0f%% with a TIV\n", summary.measured_pairs,
               100 * summary.fraction);
@@ -863,8 +869,9 @@ int cmd_tiv(Args& args) {
   for (const auto& t : tivs) {
     if (t.savings() < 0.15 || shown >= 10) continue;
     std::printf("  %s <-> %s: %.1fms direct, %.1fms via %s (-%.0f%%)\n",
-                t.a.short_name().c_str(), t.b.short_name().c_str(),
-                t.direct_ms, t.detour_ms, t.detour.short_name().c_str(),
+                snapshot.node(t.a).short_name().c_str(),
+                snapshot.node(t.b).short_name().c_str(), t.direct_ms,
+                t.detour_ms, snapshot.node(t.via).short_name().c_str(),
                 100 * t.savings());
     ++shown;
   }
@@ -873,14 +880,13 @@ int cmd_tiv(Args& args) {
 
 int cmd_deanon(Args& args) {
   const int runs = static_cast<int>(args.count("runs"));
-  const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
-  analysis::DeanonWorld world;
-  world.nodes = matrix.nodes();
-  world.matrix = &matrix;
-  if (world.nodes.size() < 4) {
+  if (runs < 1) throw UsageError("--runs wants at least 1");
+  const serve::MatrixSnapshot snapshot = load_snapshot(args);
+  if (snapshot.node_count() < 4) {
     std::fprintf(stderr, "matrix too small (need >= 4 nodes)\n");
     return 2;
   }
+  const analysis::DeanonWorld world(snapshot);
   using Row = std::pair<const char*, analysis::Strategy>;
   for (const auto& [name, strategy] :
        {Row{"rtt-unaware", analysis::Strategy::kRttUnaware},
@@ -919,17 +925,19 @@ int cmd_deanon(Args& args) {
 int cmd_coords(Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.num("seed"));
   const std::size_t percent = args.count("percent");
-  const meas::RttMatrix matrix = meas::RttMatrix::load(args.str("matrix"));
+  if (percent < 1 || percent > 100)
+    throw UsageError("--percent wants 1 to 100, got " +
+                     std::to_string(percent));
+  const serve::MatrixSnapshot snapshot = load_snapshot(args);
   analysis::VivaldiSystem vivaldi;
   Rng rng(seed);
-  vivaldi.fit(matrix, matrix.nodes(), rng, percent / 100.0);
-  const auto errs = vivaldi.relative_errors(matrix);
+  vivaldi.fit(snapshot, rng, percent / 100.0);
+  const auto errs = vivaldi.relative_errors(snapshot);
   std::printf("vivaldi embedding: relative error median %.1f%%, p90 %.1f%%\n",
               100 * quantile(errs, 0.5), 100 * quantile(errs, 0.9));
-  const auto tivs = analysis::find_all_tivs(matrix);
   std::printf("TIVs in the measured matrix: %zu; expressible by the "
               "embedding: 0 (metric space)\n",
-              tivs.size());
+              serve::DetourIndex::build(snapshot).tiv_pairs());
   return 0;
 }
 
